@@ -70,14 +70,16 @@ class SsspProgram final : public VertexProgram {
  public:
   SsspProgram(const graph::Csr& g, double delta) : g_(&g), delta_(delta) {}
 
-  std::string_view name() const override { return "sssp"; }
+  static constexpr ProgramTraits kTraits{.bounded_depth = true,
+                                         .bounded_frontier = true,
+                                         .symmetric = false,
+                                         .needs_source = true};
+  // Distance plus parent.
+  static constexpr std::uint64_t kBytesPerVertex =
+      sizeof(double) + sizeof(vertex_t);
 
-  ProgramTraits traits() const override {
-    return {.bounded_depth = true,
-            .bounded_frontier = true,
-            .symmetric = false,
-            .needs_source = true};
-  }
+  std::string_view name() const override { return "sssp"; }
+  ProgramTraits traits() const override { return kTraits; }
 
   void init(vertex_t source, std::vector<vertex_t>& frontier) override {
     const vertex_t n = g_->num_vertices();
@@ -91,14 +93,24 @@ class SsspProgram final : public VertexProgram {
     frontier.assign(1, source);
   }
 
-  bool relax(vertex_t u, vertex_t v) override {
-    const double candidate = dist_[u] + sssp_edge_weight(u, v);
-    if (candidate < dist_[v]) {
-      dist_[v] = candidate;
-      parent_[v] = u;
-      return true;
+  graph::edge_t relax_edges(vertex_t u, std::span<const vertex_t> nbrs,
+                            std::vector<vertex_t>& improved) override {
+    const auto n = static_cast<vertex_t>(dist_.size());
+    // Weights are at least 1, so no edge of u (a self-loop included) can
+    // lower dist_[u] while its edges relax.
+    const double du = dist_[u];
+    graph::edge_t inspected = 0;
+    for (const vertex_t v : nbrs) {
+      if (v >= n) continue;
+      ++inspected;
+      const double candidate = du + sssp_edge_weight(u, v);
+      if (candidate < dist_[v]) {
+        dist_[v] = candidate;
+        parent_[v] = u;
+        improved.push_back(v);
+      }
     }
-    return false;
+    return inspected;
   }
 
   void select_frontier(const std::vector<vertex_t>& improved,
@@ -261,14 +273,15 @@ class CcProgram final : public VertexProgram {
  public:
   explicit CcProgram(const graph::Csr& g) : g_(&g) {}
 
-  std::string_view name() const override { return "cc"; }
+  static constexpr ProgramTraits kTraits{
+      .bounded_depth = true,
+      .bounded_frontier = false,  // the first frontier is every vertex
+      .symmetric = true,          // weakly connected on directed graphs
+      .needs_source = false};
+  static constexpr std::uint64_t kBytesPerVertex = sizeof(vertex_t);
 
-  ProgramTraits traits() const override {
-    return {.bounded_depth = true,
-            .bounded_frontier = false,  // the first frontier is every vertex
-            .symmetric = true,          // weakly connected on directed graphs
-            .needs_source = false};
-  }
+  std::string_view name() const override { return "cc"; }
+  ProgramTraits traits() const override { return kTraits; }
 
   void init(vertex_t source, std::vector<vertex_t>& frontier) override {
     (void)source;  // label propagation is source-independent
@@ -280,12 +293,21 @@ class CcProgram final : public VertexProgram {
     std::iota(frontier.begin(), frontier.end(), vertex_t{0});
   }
 
-  bool relax(vertex_t u, vertex_t v) override {
-    if (labels_[u] < labels_[v]) {
-      labels_[v] = labels_[u];
-      return true;
+  graph::edge_t relax_edges(vertex_t u, std::span<const vertex_t> nbrs,
+                            std::vector<vertex_t>& improved) override {
+    const auto n = static_cast<vertex_t>(labels_.size());
+    // A self-loop cannot lower labels_[u] below itself.
+    const vertex_t label = labels_[u];
+    graph::edge_t inspected = 0;
+    for (const vertex_t v : nbrs) {
+      if (v >= n) continue;
+      ++inspected;
+      if (label < labels_[v]) {
+        labels_[v] = label;
+        improved.push_back(v);
+      }
     }
-    return false;
+    return inspected;
   }
 
   std::span<std::byte> raw_state_bytes() override {
@@ -386,14 +408,16 @@ class PagerankProgram final : public VertexProgram {
                   int max_iters)
       : g_(&g), epsilon_(epsilon), damping_(damping), max_iters_(max_iters) {}
 
-  std::string_view name() const override { return "pagerank"; }
+  static constexpr ProgramTraits kTraits{
+      .bounded_depth = false,     // supersteps = convergence artifact
+      .bounded_frontier = false,  // every superstep touches all vertices
+      .symmetric = false,
+      .needs_source = false};
+  // Rank plus next-superstep accumulator.
+  static constexpr std::uint64_t kBytesPerVertex = 2 * sizeof(double);
 
-  ProgramTraits traits() const override {
-    return {.bounded_depth = false,     // supersteps = convergence artifact
-            .bounded_frontier = false,  // every superstep touches all vertices
-            .symmetric = false,
-            .needs_source = false};
-  }
+  std::string_view name() const override { return "pagerank"; }
+  ProgramTraits traits() const override { return kTraits; }
 
   void init(vertex_t source, std::vector<vertex_t>& frontier) override {
     (void)source;  // global pagerank is source-independent
@@ -410,9 +434,20 @@ class PagerankProgram final : public VertexProgram {
     std::iota(frontier.begin(), frontier.end(), vertex_t{0});
   }
 
-  bool relax(vertex_t u, vertex_t v) override {
-    next_[v] += rank_[u] / static_cast<double>(g_->out_degree(u));
-    return true;
+  graph::edge_t relax_edges(vertex_t u, std::span<const vertex_t> nbrs,
+                            std::vector<vertex_t>& improved) override {
+    if (nbrs.empty()) return 0;
+    const auto n = static_cast<vertex_t>(next_.size());
+    // Pushes accumulate into next_; rank_ only changes in apply().
+    const double share = rank_[u] / static_cast<double>(g_->out_degree(u));
+    graph::edge_t inspected = 0;
+    for (const vertex_t v : nbrs) {
+      if (v >= n) continue;
+      ++inspected;
+      next_[v] += share;
+      improved.push_back(v);
+    }
+    return inspected;
   }
 
   bool apply(int superstep) override {
@@ -565,7 +600,7 @@ class PagerankProgram final : public VertexProgram {
 
 struct ProgramEntry {
   ProgramTraits traits;
-  // Per-vertex state bytes (admission estimate; matches the programs above).
+  // Per-vertex state bytes (admission estimate).
   std::uint64_t bytes_per_vertex;
   std::unique_ptr<VertexProgram> (*factory)(const graph::Csr&,
                                             const ProgramParams&,
@@ -611,27 +646,15 @@ std::unique_ptr<VertexProgram> make_pagerank(const graph::Csr& g,
 }
 
 const std::map<std::string, ProgramEntry>& program_registry() {
-  // Traits duplicated from the classes above (kept literal so callers can
-  // ask about a program without a graph to instantiate it over).
+  // Each program's class constants, so callers can ask about a program
+  // without a graph to instantiate it over.
   static const std::map<std::string, ProgramEntry> registry = {
       {"sssp",
-       {{.bounded_depth = true,
-         .bounded_frontier = true,
-         .symmetric = false,
-         .needs_source = true},
-        sizeof(double) + sizeof(vertex_t), &make_sssp}},
-      {"cc",
-       {{.bounded_depth = true,
-         .bounded_frontier = false,
-         .symmetric = true,
-         .needs_source = false},
-        sizeof(vertex_t), &make_cc}},
+       {SsspProgram::kTraits, SsspProgram::kBytesPerVertex, &make_sssp}},
+      {"cc", {CcProgram::kTraits, CcProgram::kBytesPerVertex, &make_cc}},
       {"pagerank",
-       {{.bounded_depth = false,
-         .bounded_frontier = false,
-         .symmetric = false,
-         .needs_source = false},
-        2 * sizeof(double), &make_pagerank}},
+       {PagerankProgram::kTraits, PagerankProgram::kBytesPerVertex,
+        &make_pagerank}},
   };
   return registry;
 }

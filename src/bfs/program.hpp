@@ -1,9 +1,10 @@
 // Vertex programs: the generalization of the Enterprise machinery beyond
-// BFS. A program defines per-vertex state, an edge relax/apply function, a
-// frontier-emission predicate, a convergence test, and a per-program
-// invariant set; the enterprise superstep loop (TS queue generation, WB
-// degree-classified dispatch, the HC hub cache — enterprise/program_engine)
-// runs any such program through the full decorator stack.
+// BFS. A program defines per-vertex state, a per-vertex edge relax, a
+// superstep apply function, a frontier-emission predicate, a convergence
+// test, and a per-program invariant set; the enterprise superstep loop (TS
+// queue generation, WB degree-classified dispatch, the HC hub cache —
+// enterprise/program_engine) runs any such program through the full
+// decorator stack.
 //
 // Three programs ship built in, each validated against an independent host
 // reference (host_reference below):
@@ -69,6 +70,8 @@ struct ProgramTraits {
   // The result depends on the source vertex (false: cc, pagerank — any
   // source yields the same answer).
   bool needs_source = true;
+
+  bool operator==(const ProgramTraits&) const = default;
 };
 
 class VertexProgram {
@@ -83,10 +86,16 @@ class VertexProgram {
   virtual void init(graph::vertex_t source,
                     std::vector<graph::vertex_t>& frontier) = 0;
 
-  // Relaxes edge u->v; returns true when v's state improved (v becomes a
-  // candidate for the next frontier). Must tolerate duplicate edges and
-  // re-relaxation.
-  virtual bool relax(graph::vertex_t u, graph::vertex_t v) = 0;
+  // Relaxes u's edges to `nbrs` in order, appending v to `improved` once per
+  // edge u->v that improved v's state (v becomes a candidate for the next
+  // frontier), in edge order. Entries v >= num_vertices (injected adjacency
+  // flips) are skipped without touching state. Returns the number of
+  // in-range edges inspected. Must tolerate duplicate edges and
+  // re-relaxation. One call per frontier vertex keeps the per-u value
+  // (distance, label, rank share) out of the edge loop.
+  virtual graph::edge_t relax_edges(graph::vertex_t u,
+                                    std::span<const graph::vertex_t> nbrs,
+                                    std::vector<graph::vertex_t>& improved) = 0;
 
   // Frontier-emission predicate: an improved vertex joins the next frontier
   // only while this holds (pagerank: pending change still above threshold).

@@ -36,6 +36,17 @@ bool HubCache::contains(graph::vertex_t v) const {
   return hit;
 }
 
+bool HubCache::probe_insert(graph::vertex_t v) {
+  ++probes_;
+  graph::vertex_t& slot = slots_[slot_for(v)];
+  if (slot == v) {
+    ++hits_;
+    return true;
+  }
+  slot = v;
+  return false;
+}
+
 std::size_t HubCache::occupancy() const {
   return static_cast<std::size_t>(
       std::count_if(slots_.begin(), slots_.end(), [](graph::vertex_t v) {

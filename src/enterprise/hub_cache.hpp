@@ -37,6 +37,11 @@ class HubCache {
 
   bool contains(graph::vertex_t v) const;
 
+  // contains(v) followed by insert(v) on a miss, hashing `v` once. Returns
+  // whether `v` was already cached; probes() and hits() count it exactly
+  // as contains() does.
+  bool probe_insert(graph::vertex_t v);
+
   // Occupied slots (diagnostics).
   std::size_t occupancy() const;
 

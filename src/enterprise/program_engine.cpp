@@ -239,8 +239,10 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
   // memory streams the BFS expansion kernels charge (kernels.cpp), plus a
   // random program-state load per inspected edge and a random store per
   // improvement. Hub improvements go through the shared-memory cache;
-  // non-hubs pay the global improved-flag traffic.
-  std::vector<vertex_t> improved;
+  // non-hubs pay the global improved-flag traffic. The program reports its
+  // improvements in edge order, so the hub-cache hits and evictions below
+  // replay exactly as an edge-at-a-time kernel would see them.
+  std::vector<vertex_t> relaxed;
   std::int32_t superstep = 0;
   const auto relax_queue = [&](std::span<const vertex_t> sub, Granularity gran,
                                HubCache& cache, const sim::MemoryModel& mm,
@@ -259,7 +261,6 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
       // data (see expand_top_down).
       if (u >= n) continue;
       std::uint64_t work = 0;
-      edge_t inspected_u = 0;
       const graph::Csr* views[2] = {&g, in_edges_};
       for (const graph::Csr* view : views) {
         if (view == nullptr) continue;
@@ -270,38 +271,31 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
         } else {
           adj_short += degree;
         }
-        for (const vertex_t v : neighbors) {
-          if (v >= n) continue;  // injected adjacency flip
-          ++inspected_u;
-          ++state_loads;
-          work += kInspectCycles;
-          if (!program_->relax(u, v)) continue;
-          ++state_stores;
-          work += kVisitCycles;
-          const auto mark = [&] {
-            if (improved_seen[v] != 0) return;
-            improved_seen[v] = 1;
-            improved.push_back(v);
-            if (first_touch[v] < 0) first_touch[v] = superstep + 1;
-          };
+        relaxed.clear();
+        const edge_t inspected = program_->relax_edges(u, neighbors, relaxed);
+        inspected_total += inspected;
+        state_loads += inspected;
+        state_stores += relaxed.size();
+        work += inspected * kInspectCycles + relaxed.size() * kVisitCycles;
+        for (const vertex_t v : relaxed) {
           if (use_hub && hub_flags_[v] != 0) {
             // §4.3 adapted: a cache hit proves this hub was already marked
             // improved this superstep — skip the redundant global write.
             ++cache_probes;
             work += kCacheProbeCycles;
-            if (!cache.contains(v)) {
-              cache.insert(v);
-              ++flag_stores;
-              mark();
-            }
+            if (cache.probe_insert(v)) continue;
+            ++flag_stores;
           } else {
             ++flag_loads;
-            if (improved_seen[v] == 0) ++flag_stores;
-            mark();
+            if (improved_seen[v] != 0) continue;
+            ++flag_stores;
           }
+          // Only a hub evicted since its first mark gets here already set.
+          if (improved_seen[v] != 0) continue;
+          improved_seen[v] = 1;
+          if (first_touch[v] < 0) first_touch[v] = superstep + 1;
         }
       }
-      inspected_total += inspected_u;
       if (gran == Granularity::kThread) {
         acc.add_thread(kExpandSetupCycles + work);
         rec.critical_cycles = std::max(rec.critical_cycles, chain(work));
@@ -406,7 +400,6 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
 
     // (2) WB relax: classify each device's slice and run the granularity
     // kernels as one Hyper-Q group.
-    improved.clear();
     for (unsigned p = 0; p < P; ++p) caches[p].clear();
     double max_expand = 0.0;
     for (unsigned p = 0; p < P; ++p) {
@@ -518,9 +511,14 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
     }
 
     // (5) Next frontier: the program selects from this superstep's improved
-    // set (sorted for determinism), then votes on convergence.
-    std::sort(improved.begin(), improved.end());
-    for (const vertex_t v : improved) improved_seen[v] = 0;
+    // set (ascending for determinism), then votes on convergence. One scan
+    // of the flags emits the set in order and clears it.
+    std::vector<vertex_t> improved;
+    for (vertex_t v = 0; v < n; ++v) {
+      if (improved_seen[v] == 0) continue;
+      improved_seen[v] = 0;
+      improved.push_back(v);
+    }
     std::vector<vertex_t> next;
     program_->select_frontier(improved, next);
     converged = program_->converged(superstep, next.size());

@@ -10,6 +10,7 @@
 #include "enterprise/status_array.hpp"
 #include "graph/builder.hpp"
 #include "gpusim/device.hpp"
+#include "util/random.hpp"
 
 namespace ent::enterprise {
 namespace {
@@ -65,6 +66,34 @@ TEST(HubCache, ClearResets) {
   EXPECT_EQ(cache.occupancy(), 0u);
   EXPECT_EQ(cache.probes(), 0u);
   EXPECT_FALSE(cache.contains(3));
+}
+
+TEST(HubCache, ProbeInsertMatchesContainsThenInsert) {
+  // The one-hash probe_insert must be indistinguishable from the two-call
+  // idiom it replaces: same answers, same statistics, same residents.
+  constexpr vertex_t kUniverse = 200;
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{64}}) {
+    HubCache fused(capacity);
+    HubCache twin(capacity);
+    SplitMix64 rng(0x5eed + capacity);
+    for (int i = 0; i < 10000; ++i) {
+      const auto v = static_cast<vertex_t>(rng.next_below(kUniverse));
+      const bool hit = twin.contains(v);
+      if (!hit) twin.insert(v);
+      ASSERT_EQ(fused.probe_insert(v), hit) << "draw " << i;
+    }
+    EXPECT_EQ(fused.probes(), twin.probes()) << capacity;
+    EXPECT_EQ(fused.hits(), twin.hits()) << capacity;
+    EXPECT_GT(fused.hits(), 0u) << capacity;
+    EXPECT_LT(fused.hits(), fused.probes()) << capacity;
+    // Every id lives only in its own slot, so equal residency over the id
+    // universe means equal slot contents.
+    EXPECT_EQ(fused.occupancy(), twin.occupancy()) << capacity;
+    for (vertex_t v = 0; v < kUniverse; ++v) {
+      EXPECT_EQ(fused.contains(v), twin.contains(v))
+          << "capacity " << capacity << " id " << v;
+    }
+  }
 }
 
 TEST(HubCache, FootprintMatchesPaperBudget) {

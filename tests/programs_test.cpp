@@ -5,8 +5,13 @@
 // injected bit flips, and the guard layer's trait-routed limits.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "bfs/engine.hpp"
@@ -14,6 +19,7 @@
 #include "bfs/program.hpp"
 #include "bfs/spec.hpp"
 #include "graph/generators.hpp"
+#include "graph/suite.hpp"
 #include "gpusim/fault.hpp"
 #include "obs/run_report.hpp"
 #include "util/random.hpp"
@@ -96,6 +102,75 @@ TEST(Programs, StateBytesScaleWithVertices) {
   EXPECT_EQ(bfs::program_state_bytes("cc", 100), 400u);        // 4B label
   EXPECT_EQ(bfs::program_state_bytes("pagerank", 100), 1600u); // 2 x 8B
   EXPECT_EQ(bfs::program_state_bytes("nope", 100), 0u);
+}
+
+TEST(Programs, RegistryAgreesWithInstances) {
+  // program_traits() and program_state_bytes() answer without a graph; they
+  // must say exactly what an instantiated program says about itself.
+  const Csr g = test_graph(32);
+  for (const auto& name : bfs::program_names()) {
+    const auto program = bfs::make_program(name, g);
+    ASSERT_NE(program, nullptr) << name;
+    EXPECT_EQ(bfs::program_traits(name), program->traits()) << name;
+    std::vector<vertex_t> frontier;
+    program->init(connected_source(g), frontier);
+    EXPECT_EQ(bfs::program_state_bytes(name, g.num_vertices()),
+              program->state_footprint_bytes())
+        << name;
+  }
+}
+
+// --- relax_edges contract ---------------------------------------------------
+
+std::vector<std::byte> state_copy(bfs::VertexProgram& program) {
+  const auto bytes = program.raw_state_bytes();
+  return {bytes.begin(), bytes.end()};
+}
+
+// Injected adjacency flips surface as neighbor ids >= n; relax_edges must
+// skip them without counting, reporting or touching state.
+TEST(Programs, RelaxEdgesSkipsOutOfRangeNeighbors) {
+  const Csr g = test_graph(33);
+  const vertex_t n = g.num_vertices();
+  const vertex_t u = connected_source(g);
+  const auto nbrs = g.neighbors(u);
+  ASSERT_GE(nbrs.size(), 2u);
+  const std::vector<vertex_t> flipped = {n, n + 7};
+  const std::vector<vertex_t> clean = {nbrs[0], nbrs[1]};
+  const std::vector<vertex_t> mixed = {n, nbrs[0], n + 7, nbrs[1]};
+  for (const auto& name : bfs::program_names()) {
+    SCOPED_TRACE(name);
+    const auto program = bfs::make_program(name, g);
+    const auto twin = bfs::make_program(name, g);
+    ASSERT_NE(program, nullptr);
+    ASSERT_NE(twin, nullptr);
+    std::vector<vertex_t> frontier;
+    program->init(u, frontier);
+    twin->init(u, frontier);
+
+    std::vector<vertex_t> improved;
+    const auto before = state_copy(*program);
+    EXPECT_EQ(program->relax_edges(u, flipped, improved), 0u);
+    EXPECT_TRUE(improved.empty());
+    EXPECT_EQ(state_copy(*program), before);
+
+    // Interleaved with real edges, the flips change nothing the real edges
+    // would not: same count, same improvements in the same order.
+    std::vector<vertex_t> want;
+    EXPECT_EQ(program->relax_edges(u, mixed, improved), 2u);
+    EXPECT_EQ(twin->relax_edges(u, clean, want), 2u);
+    EXPECT_EQ(improved, want);
+    EXPECT_EQ(state_copy(*program), state_copy(*twin));
+
+    // Deferred state (pagerank's accumulators) surfaces at the barrier.
+    program->apply(0);
+    twin->apply(0);
+    bfs::BfsResult got, expected;
+    program->finalize(got);
+    twin->finalize(expected);
+    EXPECT_EQ(got.values, expected.values);
+    EXPECT_EQ(got.parents, expected.parents);
+  }
 }
 
 // --- engine runs vs independent host references -----------------------------
@@ -265,6 +340,90 @@ TEST(Programs, AuditsDetectInjectedFlips) {
     auto bytes = p->raw_state_bytes();
     bytes[7] ^= std::byte{0x20};
     EXPECT_FALSE(p->audit(bfs::AuditMode::kFull, 0, rng).empty());
+  }
+}
+
+// --- golden simulated clock -------------------------------------------------
+
+// The simulated clock is the reproduction's output and is deterministic, so
+// host-side rewrites of the program engine (relax loop, hub-cache probing,
+// improved-set bookkeeping) must leave every simulated figure bit-identical.
+// These literals pin one run of each program on a directed stand-in (LJ) and
+// an undirected one (KR2); a change here is a behaviour change, not noise.
+struct GoldenRun {
+  const char* graph;
+  const char* program;
+  double time_ms;
+  std::uint64_t edges_inspected;
+  std::size_t supersteps;
+  std::uint64_t gld_transactions;
+  std::uint64_t gst_transactions;
+  std::uint64_t digest;  // mix64 fold of values, then parents
+};
+
+constexpr GoldenRun kGoldenRuns[] = {
+    {"LJ", "sssp", 0.22680501038271367, 69479, 21, 102196, 35220,
+     0x74d9535f6356e1bfull},
+    {"LJ", "cc", 0.041655024608501116, 266595, 3, 318554, 36321,
+     0xf058594157eb0264ull},
+    {"LJ", "pagerank", 0.32992644295302009, 1066400, 16, 2088912, 1290544,
+     0x0fba548dc18ec557ull},
+    {"KR2", "sssp", 0.10514118517680215, 79489, 11, 86780, 5849,
+     0xdb43c83030f558e6ull},
+    {"KR2", "cc", 0.026564841608707743, 130487, 3, 140592, 6133,
+     0x33a0669eabf5e3b9ull},
+    {"KR2", "pagerank", 0.3014899591019215, 1109029, 17, 1950699, 1146599,
+     0x5efd8358a39a659bull},
+};
+
+std::uint64_t result_digest(const bfs::BfsResult& r) {
+  std::uint64_t h = mix64(r.values.size());
+  for (const double v : r.values) {
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(v));
+  }
+  h = mix64(h ^ r.parents.size());
+  for (const vertex_t p : r.parents) h = mix64(h ^ p);
+  return h;
+}
+
+TEST(Programs, SimulatedClockMatchesGoldenRuns) {
+  graph::SuiteOptions opt;
+  opt.scale = 1.0 / 32.0;
+  opt.seed = 42;
+  std::map<std::string, Csr> graphs;
+  for (const GoldenRun& want : kGoldenRuns) {
+    auto it = graphs.find(want.graph);
+    if (it == graphs.end()) {
+      it = graphs.emplace(want.graph,
+                          graph::make_suite_graph(want.graph, opt).graph)
+               .first;
+    }
+    const Csr& g = it->second;
+    const auto engine =
+        bfs::make_engine("enterprise/" + std::string(want.program), g);
+    ASSERT_NE(engine, nullptr) << want.program;
+    const auto r = engine->run(connected_source(g));
+    std::uint64_t inspected = 0;
+    for (const auto& t : r.level_trace) inspected += t.edges_inspected;
+    const auto counters = engine->counters();
+    ASSERT_TRUE(counters.has_value()) << want.program;
+    char actual[256];
+    std::snprintf(actual, sizeof(actual),
+                  "{\"%s\", \"%s\", %.17g, %llu, %zu, %llu, %llu, "
+                  "0x%016llxull}",
+                  want.graph, want.program, r.time_ms,
+                  static_cast<unsigned long long>(inspected),
+                  r.level_trace.size(),
+                  static_cast<unsigned long long>(counters->gld_transactions),
+                  static_cast<unsigned long long>(counters->gst_transactions),
+                  static_cast<unsigned long long>(result_digest(r)));
+    SCOPED_TRACE(std::string("actual ") + actual);
+    EXPECT_EQ(r.time_ms, want.time_ms);
+    EXPECT_EQ(inspected, want.edges_inspected);
+    EXPECT_EQ(r.level_trace.size(), want.supersteps);
+    EXPECT_EQ(counters->gld_transactions, want.gld_transactions);
+    EXPECT_EQ(counters->gst_transactions, want.gst_transactions);
+    EXPECT_EQ(result_digest(r), want.digest);
   }
 }
 
