@@ -90,15 +90,8 @@ bfs::BfsResult beamer_hybrid_bfs(const graph::Csr& g,
     ++level;
   }
 
-  result.depth = 0;
-  result.vertices_visited = 0;
-  for (vertex_t v = 0; v < n; ++v) {
-    if (result.levels[v] != -1) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, result.levels[v]);
-    }
-  }
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  bfs::finish_result(result, g, std::move(result.levels),
+                     std::move(result.parents));
   result.time_ms = timer.millis();
   return result;
 }

@@ -219,17 +219,7 @@ bfs::BfsResult comparator_bfs(const graph::Csr& g, vertex_t source,
     ++level;
   }
 
-  result.depth = 0;
-  result.vertices_visited = 0;
-  for (vertex_t v = 0; v < n; ++v) {
-    if (status.visited(v)) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, status.level(v));
-    }
-  }
-  result.levels = std::move(status).take();
-  result.parents = std::move(parents);
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  bfs::finish_result(result, g, std::move(status).take(), std::move(parents));
   result.time_ms = device.elapsed_ms();
   return result;
 }

@@ -144,9 +144,8 @@ void GuardedEngine::negotiate_budget(const graph::Csr& g) {
     } else if (base_cooperative(base) && !shrunk_queue_) {
       shrunk_queue_ = true;
       const auto quarter = [&](unsigned& threads) {
-        const unsigned width =
-            threads != 0 ? threads : config_.device.num_smx * 4096;
-        threads = std::max(1u, width / 4);
+        threads =
+            std::max(1u, enterprise::scan_width(threads, config_.device) / 4);
       };
       quarter(config_.enterprise.scan_threads);
       quarter(config_.multi_gpu.per_device.scan_threads);

@@ -1,14 +1,14 @@
-// Knobs and plumbing for the silent-data-corruption defense inside the BFS
-// drivers: per-level traversal audits (frontier-count conservation, level
-// monotonicity, status-array/queue agreement) and periodic digest scrubs of
-// the resident CSR segments (graph/digest.hpp). Both are detection-only —
-// a failed check throws the typed sim::IntegrityFault, and recovery policy
-// stays where it always lives, in bfs::ResilientEngine.
+// Knobs and plumbing for the silent-data-corruption defense that
+// bfs::LevelSupervisor runs at every level top: per-level traversal audits
+// (frontier-count conservation, level monotonicity, status-array/queue
+// agreement) and periodic digest scrubs of the resident CSR segments
+// (graph/digest.hpp). Both are detection-only — a failed check throws the
+// typed sim::IntegrityFault; recovery policy lives in bfs::ResilientEngine.
 //
 // Everything here is opt-in and zero-overhead when off: with audit == kOff
-// and scrub_interval == 0 the drivers take no extra branches that touch the
-// device timeline, create no metrics, and emit no events — reports are
-// byte-identical to a build without the subsystem (asserted by sdc_test).
+// and scrub_interval == 0 no extra branch touches the device timeline, no
+// metric is created and no event is emitted — reports are byte-identical
+// to a build without the subsystem (asserted by sdc_test).
 #pragma once
 
 #include <atomic>

@@ -73,4 +73,10 @@ struct BfsResult {
 graph::edge_t count_traversed_edges(const graph::Csr& g,
                                     const std::vector<std::int32_t>& levels);
 
+// Completes a finished search's result: stores `levels` (-1 = unvisited)
+// and `parents`, and derives depth, vertices_visited and edges_traversed.
+void finish_result(BfsResult& result, const graph::Csr& g,
+                   std::vector<std::int32_t> levels,
+                   std::vector<graph::vertex_t> parents);
+
 }  // namespace ent::bfs

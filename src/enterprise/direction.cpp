@@ -9,6 +9,15 @@ double compute_alpha(graph::edge_t unexplored_edges,
          static_cast<double>(frontier_edges);
 }
 
+graph::edge_t frontier_out_edges(const graph::Csr& g,
+                                 std::span<const graph::vertex_t> frontier) {
+  graph::edge_t sum = 0;
+  for (graph::vertex_t v : frontier) {
+    if (v < g.num_vertices()) sum += g.out_degree(v);
+  }
+  return sum;
+}
+
 double compute_gamma(std::span<const graph::vertex_t> frontier,
                      const std::vector<std::uint8_t>& hub_flags,
                      graph::vertex_t total_hubs) {

@@ -30,6 +30,12 @@ struct DirectionPolicy {
 double compute_alpha(graph::edge_t unexplored_edges,
                      graph::edge_t frontier_edges);
 
+// m_f: out-edges of a frontier queue. Entries >= n never occur on valid
+// data; they are an injected frontier flip the audit has not flagged yet,
+// and are skipped rather than read past the degree table.
+graph::edge_t frontier_out_edges(const graph::Csr& g,
+                                 std::span<const graph::vertex_t> frontier);
+
 // gamma over an explicit frontier queue: percentage of the graph's hub
 // vertices that sit in the queue.
 double compute_gamma(std::span<const graph::vertex_t> frontier,

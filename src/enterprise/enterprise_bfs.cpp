@@ -6,27 +6,42 @@
 #include <span>
 
 #include "bfs/checkpoint.hpp"
-#include "bfs/guard.hpp"
 #include "bfs/telemetry.hpp"
 #include "enterprise/cost_constants.hpp"
 #include "enterprise/frontier_queue.hpp"
 #include "enterprise/hub_cache.hpp"
 #include "enterprise/kernels.hpp"
 #include "enterprise/status_array.hpp"
-#include "gpusim/fault.hpp"
 #include "graph/degree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/assert.hpp"
-#include "util/random.hpp"
 
 namespace ent::enterprise {
 
 using graph::edge_t;
 using graph::vertex_t;
 
+unsigned scan_width(unsigned scan_threads, const sim::DeviceSpec& device) {
+  return scan_threads != 0 ? scan_threads : device.num_smx * 4096;
+}
+
+HubSet select_hubs(const graph::Csr& g, const EnterpriseOptions& options) {
+  vertex_t target = options.hub_target_count;
+  if (target == 0) {
+    target = std::clamp<vertex_t>(g.num_vertices() / 1024, 16,
+                                  options.hub_cache_capacity);
+  }
+  const graph::HubStats stats = graph::select_hub_threshold(g, target);
+  return {stats.threshold, stats.num_hubs,
+          graph::hub_flags(g, stats.threshold)};
+}
+
 EnterpriseBfs::EnterpriseBfs(const graph::Csr& g, EnterpriseOptions options)
-    : graph_(&g), options_(std::move(options)) {
+    : graph_(&g),
+      options_(std::move(options)),
+      hubs_(select_hubs(g, options_)),
+      supervisor_(g, options_) {
   if (g.directed()) {
     in_storage_.emplace(g.reversed());
     in_edges_ = &*in_storage_;
@@ -37,29 +52,7 @@ EnterpriseBfs::EnterpriseBfs(const graph::Csr& g, EnterpriseOptions options)
   device_->set_trace_sink(options_.sink);
   device_->set_device_id(options_.device_ordinal);
   device_->set_fault_injector(options_.fault_injector);
-
-  // Hub definition (§4.3): tau sized so the cache can hold the hub set,
-  // with the set kept at roughly the paper's share of the vertex count.
-  graph::vertex_t target = options_.hub_target_count;
-  if (target == 0) {
-    target = std::clamp<graph::vertex_t>(g.num_vertices() / 1024, 16,
-                                         options_.hub_cache_capacity);
-  }
-  const graph::HubStats hubs = graph::select_hub_threshold(g, target);
-  hub_tau_ = hubs.threshold;
-  total_hubs_ = hubs.num_hubs;
-  hub_flags_ = graph::hub_flags(g, hub_tau_);
-
-  // Load-time digests for the scrub pass; host-side hashing, no simulated
-  // kernels, and skipped entirely when scrubbing is off.
-  if (options_.integrity.scrub_interval != 0) {
-    digests_ = graph::SegmentDigests::compute(g);
-  }
 }
-
-EnterpriseBfs::~EnterpriseBfs() = default;
-
-const sim::Device& EnterpriseBfs::device() const { return *device_; }
 
 bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   const graph::Csr& g = *graph_;
@@ -76,11 +69,8 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   status.visit(source, 0);
   parents[source] = source;
 
-  const unsigned scan_threads =
-      options_.scan_threads != 0
-          ? options_.scan_threads
-          : options_.device.num_smx * 4096;
-  FrontierQueueGenerator gen(device_->memory(), scan_threads);
+  FrontierQueueGenerator gen(
+      device_->memory(), scan_width(options_.scan_threads, options_.device));
   HubCache cache(options_.hub_cache_capacity);
 
   bfs::BfsResult result;
@@ -121,248 +111,38 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     }
   }
 
-  const auto sum_out_degrees = [&](std::span<const vertex_t> q) {
-    edge_t sum = 0;
-    // The bounds guard never fires on valid data; it keeps an injected
-    // frontier flip from indexing past the degree table before the audit
-    // pass flags it.
-    for (vertex_t v : q) {
-      if (v < n) sum += g.out_degree(v);
-    }
-    return sum;
-  };
-
   obs::TraceSink* const sink = options_.sink;
   obs::MetricsRegistry* const metrics = options_.metrics;
   const auto emit_span = [&](int lvl, const char* phase,
                              std::string detail, double start_ms,
                              double duration_ms, std::uint64_t value) {
     if (sink == nullptr) return;
-    obs::SpanEvent e;
-    e.level = lvl;
-    e.phase = phase;
-    e.detail = std::move(detail);
-    e.start_ms = start_ms;
-    e.duration_ms = duration_ms;
-    e.value = value;
-    sink->span(e);
+    sink->span({lvl, phase, std::move(detail), start_ms, duration_ms, value});
   };
   std::uint64_t hub_probes_seen = cache.probes();
   std::uint64_t hub_hits_seen = cache.hits();
 
-  // ---- integrity (bfs/integrity.hpp) -------------------------------------
-  // Silent-flip injection, digest scrubbing, and per-level audits. Every
-  // path below is gated on its knob; with everything off no counter is
-  // created and no extra work runs, so reports stay byte-identical.
-  sim::FaultInjector* const injector = options_.fault_injector;
-  const bool flips_armed =
-      injector != nullptr && injector->plan().has_flip_rules();
-  const bfs::IntegrityOptions& integ = options_.integrity;
-  // Brownout sample (serve/overload.hpp): suspension taps are read once per
-  // run, so a mid-storm ladder step takes effect at the next request
-  // boundary and never splits one traversal's audit accounting.
-  const bool audits_on = integ.audits_active();
-  const bool scrubs_on = integ.scrubs_active();
-  // audit_counts[l] = vertices first visited at level l according to the
-  // traversal's own newly-visited tallies. Rebuilding it from the status
-  // array here covers both a fresh start (just the source at level 0) and a
-  // checkpoint restore. The audit compares it against a fresh histogram of
-  // the status array — a flipped status byte breaks the agreement.
-  std::vector<vertex_t> audit_counts;
-  if (audits_on) {
-    audit_counts.assign(static_cast<std::size_t>(level) + 1, 0);
-    for (vertex_t v = 0; v < n; ++v) {
-      const std::int32_t s = status.level(v);
-      if (s >= 0 && s <= level) ++audit_counts[static_cast<std::size_t>(s)];
-    }
-  }
-  SplitMix64 audit_rng(integ.audit_seed ^ static_cast<std::uint64_t>(source) ^
-                       0x9e3779b97f4a7c15ull);
-
-  // Bumps the detection counters *before* throwing, so a detection still
-  // lands in the report when a resilience layer recovers the run.
-  const auto integrity_detect =
-      [&](sim::IntegrityKind kind, const char* counter,
-          const std::string& component, std::int32_t lvl,
-          std::string detail) {
-        if (metrics != nullptr) {
-          metrics->counter(counter).increment();
-          metrics->counter("integrity.detections").increment();
-        }
-        if (sink != nullptr) {
-          obs::IntegrityEvent e;
-          e.kind = kind == sim::IntegrityKind::kDigest ? "scrub" : "audit";
-          e.verdict =
-              kind == sim::IntegrityKind::kDigest ? "mismatch" : "failed";
-          e.component = component;
-          e.detail = detail;
-          e.level = lvl;
-          e.device = options_.device_ordinal;
-          e.at_ms = device_->elapsed_ms();
-          sink->integrity(e);
-        }
-        throw sim::IntegrityFault(kind, component, lvl, device_->elapsed_ms(),
-                                  std::move(detail));
-      };
-
-  // Re-verify the load-time CSR digests (host-side hashing, no simulated
-  // kernels — mirrors a DMA'd scrubber that does not occupy SMXs).
-  const auto scrub = [&](std::int32_t lvl) {
-    if (metrics != nullptr) {
-      metrics->counter("integrity.scrub.passes").increment();
-    }
-    if (const auto mm = digests_.verify(g)) {
-      integrity_detect(sim::IntegrityKind::kDigest,
-                       "integrity.scrub.mismatches", mm->segment, lvl,
-                       "block " + std::to_string(mm->block) + " expected " +
-                           std::to_string(mm->expected) + " got " +
-                           std::to_string(mm->actual));
-    }
-  };
-
-  // Level audit: status monotonicity, frontier-count conservation, and
-  // status/queue agreement. kFull proves the invariants exhaustively;
-  // kSampled spot-checks `sample_size` random entries of each array.
-  const auto audit_level = [&](std::int32_t lvl) {
-    if (metrics != nullptr) {
-      metrics->counter("integrity.audit.checks").increment();
-    }
-    const auto fail = [&](const char* component, std::string detail) {
-      integrity_detect(sim::IntegrityKind::kAudit, "integrity.audit.failures",
-                       component, lvl, std::move(detail));
-    };
-    if (integ.audit == bfs::AuditMode::kFull) {
-      // Monotonicity + conservation: every status value is kUnvisited or in
-      // [0, lvl], and each level's population matches the tally recorded
-      // when that level was expanded.
-      std::vector<vertex_t> hist(static_cast<std::size_t>(lvl) + 1, 0);
-      vertex_t unvisited = 0;
-      for (vertex_t v = 0; v < n; ++v) {
-        const std::int32_t s = status.level(v);
-        if (s == kUnvisited) {
-          ++unvisited;
-        } else if (s < 0 || s > lvl) {
-          fail("status", "vertex " + std::to_string(v) + " has level " +
-                             std::to_string(s) + " outside [-1, " +
-                             std::to_string(lvl) + "]");
-        } else {
-          ++hist[static_cast<std::size_t>(s)];
-        }
-      }
-      for (std::int32_t l = 0; l <= lvl; ++l) {
-        const auto idx = static_cast<std::size_t>(l);
-        if (hist[idx] != audit_counts[idx]) {
-          fail("status", "level " + std::to_string(l) + " holds " +
-                             std::to_string(hist[idx]) +
-                             " vertices, tally recorded " +
-                             std::to_string(audit_counts[idx]));
-        }
-      }
-      // Frontier conservation: a top-down queue is exactly the level-lvl
-      // vertex set; a bottom-up queue is exactly the unvisited set.
-      const vertex_t expect =
-          bottom_up ? unvisited : hist[static_cast<std::size_t>(lvl)];
-      if (queue.size() != static_cast<std::size_t>(expect)) {
-        fail("frontier", "queue holds " + std::to_string(queue.size()) +
-                             " entries, status array implies " +
-                             std::to_string(expect));
-      }
-      // Per-entry agreement. Out-of-range entries are corruption by
-      // definition; duplicates catch in-range flips that collide with
-      // another frontier vertex (on power-of-two vertex counts a high-bit
-      // flip can stay in range, so the modulus alone proves nothing).
-      std::vector<std::uint8_t> seen(n, 0);
-      for (const vertex_t q : queue) {
-        if (q >= n) {
-          fail("frontier",
-               "queue entry " + std::to_string(q) + " out of range");
-        }
-        if (seen[q] != 0) {
-          fail("frontier", "duplicate queue entry " + std::to_string(q));
-        }
-        seen[q] = 1;
-        if (!bottom_up && status.level(q) != lvl) {
-          fail("frontier", "queue entry " + std::to_string(q) +
-                               " has status level " +
-                               std::to_string(status.level(q)) +
-                               ", expected " + std::to_string(lvl));
-        }
-        if (bottom_up && status.visited(q)) {
-          fail("frontier", "bottom-up queue entry " + std::to_string(q) +
-                               " is already visited at level " +
-                               std::to_string(status.level(q)));
-        }
-      }
-    } else {
-      // Sampled: random status entries for monotonicity, random queue
-      // entries for range + status agreement.
-      for (std::uint32_t i = 0; i < integ.sample_size; ++i) {
-        const auto v = static_cast<vertex_t>(audit_rng.next_below(n));
-        const std::int32_t s = status.level(v);
-        if (s != kUnvisited && (s < 0 || s > lvl)) {
-          fail("status", "vertex " + std::to_string(v) + " has level " +
-                             std::to_string(s) + " outside [-1, " +
-                             std::to_string(lvl) + "]");
-        }
-      }
-      if (!queue.empty()) {
-        for (std::uint32_t i = 0; i < integ.sample_size; ++i) {
-          const vertex_t q = queue[audit_rng.next_below(queue.size())];
-          if (q >= n) {
-            fail("frontier",
-                 "queue entry " + std::to_string(q) + " out of range");
-          }
-          if (!bottom_up && status.level(q) != lvl) {
-            fail("frontier", "queue entry " + std::to_string(q) +
-                                 " has status level " +
-                                 std::to_string(status.level(q)) +
-                                 ", expected " + std::to_string(lvl));
-          }
-          if (bottom_up && status.visited(q)) {
-            fail("frontier", "bottom-up queue entry " + std::to_string(q) +
-                                 " is already visited");
-          }
-        }
-      }
-    }
-  };
-  // ------------------------------------------------------------------------
+  bfs::BfsAudit audit;
+  supervisor_.begin_run([&](std::int32_t lvl) {
+    audit.check(supervisor_, lvl, {&options_.device_ordinal, 1}, {&status, 1},
+                {&queue, 1}, bottom_up);
+  });
+  audit.start(supervisor_, status, level, source);
 
   while (!queue.empty()) {
-    if (options_.fault_injector != nullptr) {
-      options_.fault_injector->set_level(level);
-    }
-    // Cooperative guard check (bfs/guard.hpp): host-side comparisons only,
-    // no simulated kernels — a guard that never trips changes nothing.
-    if (options_.guard != nullptr) {
-      options_.guard->check_level(level, queue.size(), device_->elapsed_ms());
-    }
-    // Silent-flip window: hand the injector the spans resident this level
-    // and let any armed flip rules strike *before* the scrub/audit below —
-    // corruption is caught at the same level top it lands on, ahead of the
-    // kernels that would consume it.
-    if (flips_armed) {
-      injector->register_flip_target(sim::FlipTarget::kStatus,
-                                     options_.device_ordinal,
-                                     status.raw_bytes());
-      injector->register_flip_target(
-          sim::FlipTarget::kFrontier, options_.device_ordinal,
-          std::as_writable_bytes(std::span<vertex_t>(queue)));
-      injector->flip_pass(level, device_->elapsed_ms());
-    }
-    if (scrubs_on &&
-        level % static_cast<std::int32_t>(integ.scrub_interval) == 0) {
-      scrub(level);
-    }
-    if (audits_on) audit_level(level);
+    const bfs::LevelShard shard{
+        options_.device_ordinal, status.raw_bytes(),
+        std::as_writable_bytes(std::span<vertex_t>(queue))};
+    supervisor_.level_top(level, level, queue.size(), device_->elapsed_ms(),
+                          {&shard, 1});
     bfs::LevelTrace trace;
     trace.level = level;
     const double level_start_ms = device_->elapsed_ms();
 
     if (!bottom_up) {
-      const edge_t m_f = sum_out_degrees(queue);
+      const edge_t m_f = frontier_out_edges(g, queue);
       trace.alpha = compute_alpha(total_edges - visited_degree_sum, m_f);
-      trace.gamma = compute_gamma(queue, hub_flags_, total_hubs_);
+      trace.gamma = compute_gamma(queue, hubs_.flags, hubs_.total);
       if (options_.allow_direction_switch && !switched && level > 0 &&
           should_switch_to_bottom_up(options_.direction, trace.alpha,
                                      trace.gamma,
@@ -374,12 +154,8 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
         switched = true;
         sim::KernelRecord qrec;
         qrec.name = "queue_gen(switch)";
-        HubRefill refill;
-        if (options_.hub_cache) {
-          refill.cache = &cache;
-          refill.hub_flags = &hub_flags_;
-          refill.just_visited_level = level;
-        }
+        const HubRefill refill =
+            hubs_.refill(options_.hub_cache ? &cache : nullptr, level);
         const ScanLayout layout = options_.chunked_switch_scan
                                       ? ScanLayout::kChunked
                                       : ScanLayout::kInterleaved;
@@ -427,8 +203,6 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     const QueueOrder order = bottom_up ? bu_order : QueueOrder::kScattered;
 
     if (options_.workload_balancing) {
-      // Classification happens alongside queue generation (§4.2); it is a
-      // visible overhead (Fig. 8's +5 ms) ahead of the concurrent kernels.
       // Classification happens alongside queue generation (§4.2: each scan
       // thread routes discovered frontiers into one of four bins by
       // out-degree), so its work joins the level's concurrent group rather
@@ -531,7 +305,7 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
       sim::KernelRecord qrec;
       qrec.name = "queue_gen(top-down)";
       queue = gen.top_down(status, next_level, qrec);
-      visited_degree_sum += sum_out_degrees(queue);
+      visited_degree_sum += frontier_out_edges(g, queue);
       const std::string qname = qrec.name;
       const double qgen_start_ms = device_->elapsed_ms();
       const double qms = device_->run_kernel(std::move(qrec));
@@ -547,12 +321,8 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
         break;
       }
       sim::KernelRecord qrec;
-      HubRefill refill;
-      if (options_.hub_cache) {
-        refill.cache = &cache;
-        refill.hub_flags = &hub_flags_;
-        refill.just_visited_level = next_level;
-      }
+      const HubRefill refill =
+          hubs_.refill(options_.hub_cache ? &cache : nullptr, next_level);
       if (options_.bottom_up_filter) {
         qrec.name = "queue_gen(filter)";
         queue = gen.bottom_up_filter(queue, status, refill, qrec);
@@ -572,9 +342,7 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     }
 
     last_newly_visited = newly_visited;
-    if (audits_on) {
-      audit_counts.push_back(newly_visited);
-    }
+    audit.record(newly_visited);
     prev_queue_size = trace.frontier_count;
     trace.total_ms = device_->elapsed_ms() - level_start_ms;
     if (sink != nullptr) sink->level(bfs::to_level_event(trace));
@@ -599,23 +367,10 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     }
   }
 
-  // Final integrity sweep: corruption that lands on the last level is still
-  // caught before the result is reported.
-  if (scrubs_on) scrub(level);
-  if (audits_on) audit_level(level);
+  supervisor_.finish(level, device_->elapsed_ms());
 
   // Finalize.
-  result.depth = 0;
-  result.vertices_visited = 0;
-  for (vertex_t v = 0; v < n; ++v) {
-    if (status.visited(v)) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, status.level(v));
-    }
-  }
-  result.levels = std::move(status).take();
-  result.parents = std::move(parents);
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  bfs::finish_result(result, g, std::move(status).take(), std::move(parents));
   result.time_ms = device_->elapsed_ms();
 
   if (metrics != nullptr) {

@@ -15,11 +15,12 @@
 #include <optional>
 
 #include "bfs/integrity.hpp"
+#include "bfs/level_supervisor.hpp"
 #include "bfs/result.hpp"
 #include "enterprise/classify.hpp"
 #include "enterprise/direction.hpp"
+#include "enterprise/frontier_queue.hpp"
 #include "graph/csr.hpp"
-#include "graph/digest.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/spec.hpp"
 
@@ -101,11 +102,29 @@ struct EnterpriseOptions {
   bfs::IntegrityOptions integrity;
 };
 
+// Frontier-scan launch width: `scan_threads`, or 4096 threads per SMX when
+// it is 0 (EnterpriseOptions::scan_threads).
+unsigned scan_width(unsigned scan_threads, const sim::DeviceSpec& device);
+
+// The hub set (§4.3): tau sized so the cache can hold the hubs, with the set
+// kept at roughly the paper's share of the vertex count.
+struct HubSet {
+  graph::edge_t tau = 0;
+  graph::vertex_t total = 0;        // T_h
+  std::vector<std::uint8_t> flags;  // nonzero for each hub vertex
+
+  // Refill of `cache` with the hubs visited at `level`; none when the hub
+  // cache is off (null).
+  HubRefill refill(HubCache* cache, std::int32_t level) const {
+    return cache == nullptr ? HubRefill{} : HubRefill{cache, &flags, level};
+  }
+};
+HubSet select_hubs(const graph::Csr& g, const EnterpriseOptions& options);
+
 class EnterpriseBfs {
  public:
   // Keeps a reference to `g`; builds the in-edge CSR for directed graphs.
   EnterpriseBfs(const graph::Csr& g, EnterpriseOptions options = {});
-  ~EnterpriseBfs();
 
   EnterpriseBfs(const EnterpriseBfs&) = delete;
   EnterpriseBfs& operator=(const EnterpriseBfs&) = delete;
@@ -113,27 +132,22 @@ class EnterpriseBfs {
   bfs::BfsResult run(graph::vertex_t source);
 
   // Device state of the most recent run (counters, per-kernel timeline).
-  const sim::Device& device() const;
+  const sim::Device& device() const { return *device_; }
 
   // Hub statistics chosen at construction (tau, T_h).
-  graph::edge_t hub_threshold() const { return hub_tau_; }
-  graph::vertex_t total_hubs() const { return total_hubs_; }
+  graph::edge_t hub_threshold() const { return hubs_.tau; }
+  graph::vertex_t total_hubs() const { return hubs_.total; }
 
   const EnterpriseOptions& options() const { return options_; }
 
  private:
-  struct Impl;
-
   const graph::Csr* graph_;
   const graph::Csr* in_edges_;           // == graph_ when undirected
   std::optional<graph::Csr> in_storage_;  // owns reverse CSR when directed
   EnterpriseOptions options_;
   std::unique_ptr<sim::Device> device_;
-  std::vector<std::uint8_t> hub_flags_;
-  graph::edge_t hub_tau_ = 0;
-  graph::vertex_t total_hubs_ = 0;
-  // Load-time segment digests, computed only when a scrub interval is set.
-  graph::SegmentDigests digests_;
+  HubSet hubs_;
+  bfs::LevelSupervisor supervisor_;
 };
 
 }  // namespace ent::enterprise

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <numeric>
 #include <span>
 #include <utility>
 
 #include "bfs/checkpoint.hpp"
-#include "bfs/guard.hpp"
 #include "bfs/telemetry.hpp"
 #include "enterprise/cost_constants.hpp"
 #include "enterprise/frontier_queue.hpp"
@@ -15,12 +15,10 @@
 #include "enterprise/kernels.hpp"
 #include "enterprise/status_array.hpp"
 #include "gpusim/fault.hpp"
-#include "graph/degree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/assert.hpp"
 #include "util/bit_array.hpp"
-#include "util/random.hpp"
 
 namespace ent::enterprise {
 
@@ -37,25 +35,16 @@ MultiGpuEnterpriseBfs::MultiGpuEnterpriseBfs(const graph::Csr& g,
                   ? graph::partition_equal_vertices(g.num_vertices(),
                                                     options_.num_gpus)
                   : graph::partition_equal_edges(g, options_.num_gpus)),
+      hubs_(select_hubs(g, options_.per_device)),
+      supervisor_(g, options_.per_device),
       detector_(options_.straggler) {
   ENT_ASSERT_MSG(!g.directed(),
                  "multi-GPU Enterprise requires an undirected graph");
-  graph::vertex_t target = options_.per_device.hub_target_count;
-  if (target == 0) {
-    target = std::clamp<graph::vertex_t>(
-        g.num_vertices() / 1024, 16, options_.per_device.hub_cache_capacity);
-  }
-  const graph::HubStats hubs = graph::select_hub_threshold(g, target);
-  hub_tau_ = hubs.threshold;
-  total_hubs_ = hubs.num_hubs;
-  hub_flags_ = graph::hub_flags(g, hub_tau_);
   // Normalize the physical-id map so fault rules and blacklists always talk
   // about stable ids, whatever subset of GPUs this system was built on.
   if (options_.device_ids.empty()) {
     options_.device_ids.resize(options_.num_gpus);
-    for (unsigned p = 0; p < options_.num_gpus; ++p) {
-      options_.device_ids[p] = p;
-    }
+    std::iota(options_.device_ids.begin(), options_.device_ids.end(), 0u);
   }
   ENT_ASSERT_MSG(options_.device_ids.size() == options_.num_gpus,
                  "device_ids must name one physical id per GPU");
@@ -70,10 +59,6 @@ MultiGpuEnterpriseBfs::MultiGpuEnterpriseBfs(const graph::Csr& g,
                                             options_.device_ids);
   system_.interconnect().set_sink(options_.per_device.sink);
   system_.interconnect().set_metrics(options_.per_device.metrics);
-  // Load-time digests for the scrub pass (see enterprise_bfs.cpp).
-  if (options_.per_device.integrity.scrub_interval != 0) {
-    digests_ = graph::SegmentDigests::compute(g);
-  }
 }
 
 bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
@@ -103,15 +88,6 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
 
   // Private per-device queues (the union is the global frontier).
   std::vector<std::vector<vertex_t>> queues(P);
-  {
-    const auto owner = static_cast<unsigned>(
-        std::distance(ranges_.begin(),
-                      std::find_if(ranges_.begin(), ranges_.end(),
-                                   [&](const graph::VertexRange& r) {
-                                     return r.contains(source);
-                                   })));
-    queues[owner].push_back(source);
-  }
 
   bfs::BfsResult result;
   result.source = source;
@@ -124,6 +100,9 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
   // Bits of the compressed just-visited array each device broadcasts.
   const std::uint64_t bits_each = (n + P - 1) / P;
   const std::uint64_t bytes_each = (bits_each + 7) / 8;
+  // Each device scans its slice with a 1/P share of the scan width.
+  const unsigned scan_threads =
+      scan_width(eopt.scan_threads, eopt.device) / P + 1;
 
   const auto global_queue_size = [&] {
     std::size_t total = 0;
@@ -136,6 +115,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     }
     return P - 1;
   };
+  queues[owner_of(source)].push_back(source);
 
   // Rung 2 of the fail-slow ladder: shrink the straggler's vertex range
   // proportionally to its measured slowdown (a 4x-slow device keeps 1/4 of
@@ -215,255 +195,48 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     }
   }
 
-  // ---- integrity (bfs/integrity.hpp) -------------------------------------
-  // Same defense as enterprise_bfs.cpp, adapted to the partitioned state:
-  // the private status arrays are identical at every level top (the
-  // all-gather ORs each level's discoveries into all of them), so each one
-  // is audited against the same newly-visited tallies; the private queues
-  // partition the global frontier, so a global seen-bitmap catches
-  // duplicates wherever a flip lands.
-  const bool flips_armed = eopt.fault_injector != nullptr &&
-                           eopt.fault_injector->plan().has_flip_rules();
-  const bfs::IntegrityOptions& integ = eopt.integrity;
-  // Brownout sample (serve/overload.hpp): taps read once per run so a
-  // ladder step lands at a request boundary, not mid-traversal.
-  const bool audits_on = integ.audits_active();
-  const bool scrubs_on = integ.scrubs_active();
-  std::vector<vertex_t> audit_counts;
-  if (audits_on) {
-    audit_counts.assign(static_cast<std::size_t>(level) + 1, 0);
-    for (vertex_t v = 0; v < n; ++v) {
-      const std::int32_t s = statuses[0].level(v);
-      if (s >= 0 && s <= level) ++audit_counts[static_cast<std::size_t>(s)];
-    }
-  }
-  SplitMix64 audit_rng(integ.audit_seed ^ static_cast<std::uint64_t>(source) ^
-                       0x6d756c7469677075ull);
-
-  const auto integrity_detect =
-      [&](sim::IntegrityKind kind, const char* counter,
-          const std::string& component, std::int32_t lvl, unsigned device,
-          std::string detail) {
-        if (eopt.metrics != nullptr) {
-          eopt.metrics->counter(counter).increment();
-          eopt.metrics->counter("integrity.detections").increment();
-        }
-        if (eopt.sink != nullptr) {
-          obs::IntegrityEvent e;
-          e.kind = kind == sim::IntegrityKind::kDigest ? "scrub" : "audit";
-          e.verdict =
-              kind == sim::IntegrityKind::kDigest ? "mismatch" : "failed";
-          e.component = component;
-          e.detail = detail;
-          e.level = lvl;
-          e.device = device;
-          e.at_ms = system_.elapsed_ms();
-          eopt.sink->integrity(e);
-        }
-        throw sim::IntegrityFault(kind, component, lvl, system_.elapsed_ms(),
-                                  std::move(detail));
-      };
-
-  const auto scrub = [&](std::int32_t lvl) {
-    if (eopt.metrics != nullptr) {
-      eopt.metrics->counter("integrity.scrub.passes").increment();
-    }
-    if (const auto mm = digests_.verify(g)) {
-      integrity_detect(sim::IntegrityKind::kDigest,
-                       "integrity.scrub.mismatches", mm->segment, lvl,
-                       options_.device_ids[0],
-                       "block " + std::to_string(mm->block) + " expected " +
-                           std::to_string(mm->expected) + " got " +
-                           std::to_string(mm->actual));
-    }
-  };
-
-  const auto audit_level = [&](std::int32_t lvl) {
-    if (eopt.metrics != nullptr) {
-      eopt.metrics->counter("integrity.audit.checks").increment();
-    }
-    if (integ.audit == bfs::AuditMode::kFull) {
-      std::vector<std::uint8_t> seen(n, 0);
-      for (unsigned p = 0; p < P; ++p) {
-        const auto fail = [&](const char* component, std::string detail) {
-          integrity_detect(sim::IntegrityKind::kAudit,
-                           "integrity.audit.failures", component, lvl,
-                           options_.device_ids[p], std::move(detail));
-        };
-        // Every private status array must carry the same monotone level
-        // population the traversal recorded.
-        std::vector<vertex_t> hist(static_cast<std::size_t>(lvl) + 1, 0);
-        vertex_t unvisited = 0;
-        for (vertex_t v = 0; v < n; ++v) {
-          const std::int32_t s = statuses[p].level(v);
-          if (s == kUnvisited) {
-            ++unvisited;
-          } else if (s < 0 || s > lvl) {
-            fail("status", "gpu" + std::to_string(p) + " vertex " +
-                               std::to_string(v) + " has level " +
-                               std::to_string(s) + " outside [-1, " +
-                               std::to_string(lvl) + "]");
-          } else {
-            ++hist[static_cast<std::size_t>(s)];
-          }
-        }
-        for (std::int32_t l = 0; l <= lvl; ++l) {
-          const auto idx = static_cast<std::size_t>(l);
-          if (hist[idx] != audit_counts[idx]) {
-            fail("status", "gpu" + std::to_string(p) + " level " +
-                               std::to_string(l) + " holds " +
-                               std::to_string(hist[idx]) +
-                               " vertices, tally recorded " +
-                               std::to_string(audit_counts[idx]));
-          }
-        }
-        // Per-entry queue agreement; `seen` is global because the private
-        // queues partition the global frontier.
-        for (const vertex_t q : queues[p]) {
-          if (q >= n) {
-            fail("frontier", "gpu" + std::to_string(p) + " queue entry " +
-                                 std::to_string(q) + " out of range");
-          }
-          if (seen[q] != 0) {
-            fail("frontier", "duplicate queue entry " + std::to_string(q) +
-                                 " on gpu" + std::to_string(p));
-          }
-          seen[q] = 1;
-          if (!bottom_up && statuses[p].level(q) != lvl) {
-            fail("frontier", "gpu" + std::to_string(p) + " queue entry " +
-                                 std::to_string(q) + " has status level " +
-                                 std::to_string(statuses[p].level(q)) +
-                                 ", expected " + std::to_string(lvl));
-          }
-          if (bottom_up && statuses[p].visited(q)) {
-            fail("frontier", "gpu" + std::to_string(p) +
-                                 " bottom-up queue entry " +
-                                 std::to_string(q) + " is already visited");
-          }
-        }
-        // Frontier-count conservation against the shared status view.
-        if (p == 0) {
-          const std::size_t expect =
-              bottom_up ? static_cast<std::size_t>(unvisited)
-                        : static_cast<std::size_t>(
-                              hist[static_cast<std::size_t>(lvl)]);
-          if (global_queue_size() != expect) {
-            fail("frontier",
-                 "global frontier holds " +
-                     std::to_string(global_queue_size()) +
-                     " entries, status array implies " +
-                     std::to_string(expect));
-          }
-        }
-      }
-    } else {
-      // Sampled: spot-check random (device, vertex) and (device, queue
-      // entry) pairs.
-      for (std::uint32_t i = 0; i < integ.sample_size; ++i) {
-        const auto p = static_cast<unsigned>(audit_rng.next_below(P));
-        const auto fail = [&](const char* component, std::string detail) {
-          integrity_detect(sim::IntegrityKind::kAudit,
-                           "integrity.audit.failures", component, lvl,
-                           options_.device_ids[p], std::move(detail));
-        };
-        const auto v = static_cast<vertex_t>(audit_rng.next_below(n));
-        const std::int32_t s = statuses[p].level(v);
-        if (s != kUnvisited && (s < 0 || s > lvl)) {
-          fail("status", "gpu" + std::to_string(p) + " vertex " +
-                             std::to_string(v) + " has level " +
-                             std::to_string(s) + " outside [-1, " +
-                             std::to_string(lvl) + "]");
-        }
-        if (!queues[p].empty()) {
-          const vertex_t q =
-              queues[p][audit_rng.next_below(queues[p].size())];
-          if (q >= n) {
-            fail("frontier", "gpu" + std::to_string(p) + " queue entry " +
-                                 std::to_string(q) + " out of range");
-          }
-          if (!bottom_up && statuses[p].level(q) != lvl) {
-            fail("frontier", "gpu" + std::to_string(p) + " queue entry " +
-                                 std::to_string(q) + " has status level " +
-                                 std::to_string(statuses[p].level(q)) +
-                                 ", expected " + std::to_string(lvl));
-          }
-          if (bottom_up && statuses[p].visited(q)) {
-            fail("frontier", "gpu" + std::to_string(p) +
-                                 " bottom-up queue entry " +
-                                 std::to_string(q) + " is already visited");
-          }
-        }
-      }
-    }
-  };
-  // ------------------------------------------------------------------------
+  // The private status arrays agree at every level top (the all-gather ORs
+  // each level's discoveries into all of them) and the private queues
+  // partition the global frontier: the N-shard BFS audit.
+  bfs::BfsAudit audit;
+  supervisor_.begin_run([&](std::int32_t lvl) {
+    audit.check(supervisor_, lvl, options_.device_ids, statuses, queues,
+                bottom_up);
+  });
+  audit.start(supervisor_, statuses[0], level, source);
+  std::vector<bfs::LevelShard> shards(P);
 
   while (global_queue_size() > 0) {
-    if (eopt.fault_injector != nullptr) {
-      eopt.fault_injector->set_level(level);
+    for (unsigned p = 0; p < P; ++p) {
+      shards[p] = {options_.device_ids[p], statuses[p].raw_bytes(),
+                   std::as_writable_bytes(std::span<vertex_t>(queues[p]))};
     }
-    // Cooperative guard check against the global frontier and system clock.
-    if (eopt.guard != nullptr) {
-      eopt.guard->check_level(level, global_queue_size(),
-                              system_.elapsed_ms());
-    }
-    // Silent-flip window, then the checks that are supposed to catch it
-    // (same ordering rationale as enterprise_bfs.cpp).
-    if (flips_armed) {
-      for (unsigned p = 0; p < P; ++p) {
-        eopt.fault_injector->register_flip_target(
-            sim::FlipTarget::kStatus, options_.device_ids[p],
-            statuses[p].raw_bytes());
-        eopt.fault_injector->register_flip_target(
-            sim::FlipTarget::kFrontier, options_.device_ids[p],
-            std::as_writable_bytes(std::span<vertex_t>(queues[p])));
-      }
-      eopt.fault_injector->flip_pass(level, system_.elapsed_ms());
-    }
-    if (scrubs_on &&
-        level % static_cast<std::int32_t>(integ.scrub_interval) == 0) {
-      scrub(level);
-    }
-    if (audits_on) audit_level(level);
+    supervisor_.level_top(level, level, global_queue_size(),
+                          system_.elapsed_ms(), shards);
     bfs::LevelTrace trace;
     trace.level = level;
     const std::int32_t next_level = level + 1;
 
     // Direction decision on the global frontier view.
     if (!bottom_up && eopt.allow_direction_switch && !switched && level > 0) {
-      edge_t m_f = 0;
-      vertex_t hub_in_queue = 0;
+      std::vector<vertex_t> frontier;  // the global frontier
       for (const auto& q : queues) {
-        // Bounds guard: never fires on valid data, keeps an injected
-        // frontier flip from indexing past the degree/hub tables before the
-        // audit pass flags it.
-        for (vertex_t v : q) {
-          if (v >= n) continue;
-          m_f += g.out_degree(v);
-          if (hub_flags_[v] != 0) ++hub_in_queue;
-        }
+        frontier.insert(frontier.end(), q.begin(), q.end());
       }
-      trace.alpha = compute_alpha(total_edges - visited_degree_sum, m_f);
-      trace.gamma = total_hubs_ == 0
-                        ? 0.0
-                        : 100.0 * static_cast<double>(hub_in_queue) /
-                              static_cast<double>(total_hubs_);
+      trace.alpha = compute_alpha(total_edges - visited_degree_sum,
+                                  frontier_out_edges(g, frontier));
+      trace.gamma = compute_gamma(frontier, hubs_.flags, hubs_.total);
       if (should_switch_to_bottom_up(eopt.direction, trace.alpha,
                                      trace.gamma)) {
         bottom_up = true;
         switched = true;
         double max_scan = 0.0;
         for (unsigned p = 0; p < P; ++p) {
-          FrontierQueueGenerator gen(system_.device(p).memory(),
-                                     (eopt.scan_threads != 0 ? eopt.scan_threads : eopt.device.num_smx * 4096) / P + 1);
+          FrontierQueueGenerator gen(system_.device(p).memory(), scan_threads);
           sim::KernelRecord rec;
           rec.name = "queue_gen(switch)";
-          HubRefill refill;
-          if (eopt.hub_cache) {
-            refill.cache = &caches[p];
-            refill.hub_flags = &hub_flags_;
-            refill.just_visited_level = level;
-          }
+          const HubRefill refill =
+              hubs_.refill(eopt.hub_cache ? &caches[p] : nullptr, level);
           queues[p] = gen.direction_switch(statuses[p], refill,
                                            ranges_[p].begin, ranges_[p].end,
                                            rec);
@@ -676,14 +449,8 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     stats_.bytes_communicated += level_exchange_bytes;
     stats_.bytes_uncompressed += level_exchange_bytes * 8;  // byte statuses
     if (eopt.sink != nullptr) {
-      obs::SpanEvent span;
-      span.level = level;
-      span.phase = "comm";
-      span.detail = "status-allgather";
-      span.start_ms = system_.elapsed_ms();
-      span.duration_ms = comm_ms;
-      span.value = level_exchange_bytes;
-      eopt.sink->span(span);
+      eopt.sink->span({level, "comm", "status-allgather", system_.elapsed_ms(),
+                       comm_ms, level_exchange_bytes});
     }
     if (eopt.metrics != nullptr) {
       eopt.metrics->counter("multi_gpu.exchange_bytes")
@@ -706,23 +473,17 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     std::vector<double> qgen_ms(P, 0.0);
     for (unsigned p = 0; p < P; ++p) {
       sim::Device& dev = system_.device(p);
-      FrontierQueueGenerator gen(dev.memory(), (eopt.scan_threads != 0 ? eopt.scan_threads : eopt.device.num_smx * 4096) / P + 1);
+      FrontierQueueGenerator gen(dev.memory(), scan_threads);
       sim::KernelRecord rec;
       if (!bottom_up) {
         rec.name = "queue_gen(top-down)";
         queues[p] = gen.top_down(statuses[p], next_level, ranges_[p].begin,
                                  ranges_[p].end, rec);
-        for (vertex_t v : queues[p]) {
-          if (v < n) visited_degree_sum += g.out_degree(v);
-        }
+        visited_degree_sum += frontier_out_edges(g, queues[p]);
       } else {
         rec.name = "queue_gen(filter)";
-        HubRefill refill;
-        if (eopt.hub_cache) {
-          refill.cache = &caches[p];
-          refill.hub_flags = &hub_flags_;
-          refill.just_visited_level = next_level;
-        }
+        const HubRefill refill =
+            hubs_.refill(eopt.hub_cache ? &caches[p] : nullptr, next_level);
         queues[p] = gen.bottom_up_filter(queues[p], statuses[p], refill, rec);
       }
       qgen_ms[p] = dev.run_kernel(rec);
@@ -734,9 +495,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     trace.total_ms = max_expand + max_qgen + comm_ms;
     if (eopt.sink != nullptr) eopt.sink->level(bfs::to_level_event(trace));
     result.level_trace.push_back(std::move(trace));
-    if (audits_on) {
-      audit_counts.push_back(newly_visited);
-    }
+    audit.record(newly_visited);
 
     // Fail-slow detection at the level boundary: feed every device's level
     // time to the detector, then escalate the mitigation ladder for the
@@ -826,23 +585,11 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     }
   }
 
-  // Final integrity sweep before the result is reported.
-  if (scrubs_on) scrub(level);
-  if (audits_on) audit_level(level);
+  supervisor_.finish(level, system_.elapsed_ms());
 
   // All private arrays agree after the final all-gather; report device 0's.
-  StatusArray& status0 = statuses[0];
-  result.depth = 0;
-  result.vertices_visited = 0;
-  for (vertex_t v = 0; v < n; ++v) {
-    if (status0.visited(v)) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, status0.level(v));
-    }
-  }
-  result.levels = std::move(status0).take();
-  result.parents = std::move(parents);
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  bfs::finish_result(result, g, std::move(statuses[0]).take(),
+                     std::move(parents));
   result.time_ms = system_.elapsed_ms();
   stats_.total_ms = result.time_ms;
   if (eopt.metrics != nullptr) {

@@ -5,9 +5,9 @@
 // (3) scans its private slice of the merged status to build the next
 //     private queue.
 //
-// The traversal itself is exact (the shared host status array plays the
-// role of the post-all-gather merged view); timing is bulk-synchronous:
-// per level, max over devices of (expand + queue-gen) plus the all-gather.
+// The traversal itself is exact (each device's private status array is
+// the post-all-gather merged view); timing is bulk-synchronous: per
+// level, max over devices of (expand + queue-gen) plus the all-gather.
 // Bottom-up inspection reads in-edges of owned vertices, which a 1-D
 // out-edge partition only provides for undirected graphs — the same
 // Graph500/Kronecker setting the paper scales in Fig. 15.
@@ -69,13 +69,9 @@ class MultiGpuEnterpriseBfs {
   MultiGpuOptions options_;
   sim::MultiGpuSystem system_;
   std::vector<graph::VertexRange> ranges_;
-  std::vector<std::uint8_t> hub_flags_;
-  graph::edge_t hub_tau_ = 0;
-  graph::vertex_t total_hubs_ = 0;
+  HubSet hubs_;
+  bfs::LevelSupervisor supervisor_;
   MultiGpuRunStats stats_;
-  // Load-time segment digests, computed only when a scrub interval is set
-  // (per_device.integrity.scrub_interval).
-  graph::SegmentDigests digests_;
   // Fail-slow machinery. The detector persists across run() calls so EWMAs
   // stay warm across sources; the per-physical-device rung counters make
   // the ladder escalate (speculation -> repartition -> demotion) instead of

@@ -6,15 +6,12 @@
 #include <string>
 #include <utility>
 
-#include "bfs/guard.hpp"
 #include "bfs/telemetry.hpp"
 #include "enterprise/cost_constants.hpp"
 #include "enterprise/frontier_queue.hpp"
 #include "enterprise/hub_cache.hpp"
 #include "enterprise/kernels.hpp"
 #include "enterprise/status_array.hpp"
-#include "gpusim/fault.hpp"
-#include "graph/degree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/assert.hpp"
@@ -46,7 +43,9 @@ ProgramRunner::ProgramRunner(const graph::Csr& g,
       options_(std::move(options)),
       device_ids_(std::move(device_ids)),
       system_(options_.device, num_devices, interconnect),
-      ranges_(graph::partition_equal_vertices(g.num_vertices(), num_devices)) {
+      ranges_(graph::partition_equal_vertices(g.num_vertices(), num_devices)),
+      hubs_(select_hubs(g, options_)),
+      supervisor_(g, options_) {
   ENT_ASSERT_MSG(program_ != nullptr, "ProgramRunner needs a program");
   // In-edge view for symmetric relaxations (cc on directed graphs); on
   // undirected graphs the out-edges already carry both directions.
@@ -71,21 +70,6 @@ ProgramRunner::ProgramRunner(const graph::Csr& g,
   if (num_devices > 1) {
     system_.interconnect().set_fault_injector(options_.fault_injector,
                                               device_ids_);
-  }
-
-  // Hub definition, as in enterprise_bfs.cpp (§4.3).
-  graph::vertex_t target = options_.hub_target_count;
-  if (target == 0) {
-    target = std::clamp<graph::vertex_t>(g.num_vertices() / 1024, 16,
-                                         options_.hub_cache_capacity);
-  }
-  const graph::HubStats hubs = graph::select_hub_threshold(g, target);
-  hub_tau_ = hubs.threshold;
-  total_hubs_ = hubs.num_hubs;
-  hub_flags_ = graph::hub_flags(g, hub_tau_);
-
-  if (options_.integrity.scrub_interval != 0) {
-    digests_ = graph::SegmentDigests::compute(g);
   }
 }
 
@@ -116,13 +100,12 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
   for (const vertex_t v : frontier) first_touch[v] = 0;
 
   const unsigned scan_threads_total =
-      options_.scan_threads != 0 ? options_.scan_threads
-                                 : options_.device.num_smx * 4096;
+      scan_width(options_.scan_threads, options_.device);
   const unsigned scan_threads =
       P == 1 ? scan_threads_total : scan_threads_total / P + 1;
 
   std::vector<HubCache> caches(P, HubCache(options_.hub_cache_capacity));
-  const bool use_hub = options_.hub_cache && total_hubs_ > 0;
+  const bool use_hub = options_.hub_cache && hubs_.total > 0;
 
   bfs::BfsResult result;
   result.source = source;
@@ -133,75 +116,17 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
                              double start_ms, double duration_ms,
                              std::uint64_t value) {
     if (sink == nullptr) return;
-    obs::SpanEvent e;
-    e.level = step;
-    e.phase = phase;
-    e.detail = std::move(detail);
-    e.start_ms = start_ms;
-    e.duration_ms = duration_ms;
-    e.value = value;
-    sink->span(e);
+    sink->span({step, phase, std::move(detail), start_ms, duration_ms, value});
   };
 
-  // ---- integrity (bfs/integrity.hpp) -------------------------------------
-  // Engine-level frontier checks plus the program's own invariant set; the
-  // counter and event idiom matches enterprise_bfs.cpp so collect_integrity
-  // assembles the same report section.
-  sim::FaultInjector* const injector = options_.fault_injector;
-  const bool flips_armed =
-      injector != nullptr && injector->plan().has_flip_rules();
+  // Engine-level frontier checks plus the program's own invariant set.
   const bfs::IntegrityOptions& integ = options_.integrity;
-  // Brownout sample (serve/overload.hpp): taps read once per run so a
-  // ladder step lands at a request boundary, not mid-traversal.
-  const bool audits_on = integ.audits_active();
-  const bool scrubs_on = integ.scrubs_active();
-  SplitMix64 audit_rng(integ.audit_seed ^ static_cast<std::uint64_t>(source) ^
-                       0x70726f6772616dull);  // "program"
-
-  const auto integrity_detect =
-      [&](sim::IntegrityKind kind, const char* counter,
-          const std::string& component, std::int32_t step,
-          std::string detail) {
-        if (metrics != nullptr) {
-          metrics->counter(counter).increment();
-          metrics->counter("integrity.detections").increment();
-        }
-        if (sink != nullptr) {
-          obs::IntegrityEvent e;
-          e.kind = kind == sim::IntegrityKind::kDigest ? "scrub" : "audit";
-          e.verdict =
-              kind == sim::IntegrityKind::kDigest ? "mismatch" : "failed";
-          e.component = component;
-          e.detail = detail;
-          e.level = step;
-          e.device = device_ids_[0];
-          e.at_ms = system_.elapsed_ms();
-          sink->integrity(e);
-        }
-        throw sim::IntegrityFault(kind, component, step, system_.elapsed_ms(),
-                                  std::move(detail));
-      };
-
-  const auto scrub = [&](std::int32_t step) {
-    if (metrics != nullptr) {
-      metrics->counter("integrity.scrub.passes").increment();
-    }
-    if (const auto mm = digests_.verify(g)) {
-      integrity_detect(sim::IntegrityKind::kDigest,
-                       "integrity.scrub.mismatches", mm->segment, step,
-                       "block " + std::to_string(mm->block) + " expected " +
-                           std::to_string(mm->expected) + " got " +
-                           std::to_string(mm->actual));
-    }
-  };
-
-  const auto audit_superstep = [&](std::int32_t step) {
-    if (metrics != nullptr) {
-      metrics->counter("integrity.audit.checks").increment();
-    }
+  SplitMix64 draws(integ.audit_seed ^ static_cast<std::uint64_t>(source) ^
+                   0x70726f6772616dull);  // "program"
+  supervisor_.begin_run([&](std::int32_t step) {
     const auto fail = [&](const char* component, std::string detail) {
-      integrity_detect(sim::IntegrityKind::kAudit, "integrity.audit.failures",
-                       component, step, std::move(detail));
+      supervisor_.audit_failed(step, device_ids_[0], component,
+                               std::move(detail));
     };
     // Frontier invariant: select_frontier emits strictly ascending in-range
     // vertex ids, so any injected flip breaks range or order (a flip that
@@ -222,18 +147,17 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
     } else if (!frontier.empty()) {
       for (std::uint32_t i = 0; i < integ.sample_size; ++i) {
         check_entry(
-            static_cast<std::size_t>(audit_rng.next_below(frontier.size())));
+            static_cast<std::size_t>(draws.next_below(frontier.size())));
       }
     }
     // The program's own invariant set (sssp monotone relaxations, cc
     // decrease-only labels, pagerank mass conservation).
     if (std::string err =
-            program_->audit(integ.audit, integ.sample_size, audit_rng);
+            program_->audit(integ.audit, integ.sample_size, draws);
         !err.empty()) {
       fail("program", std::move(err));
     }
-  };
-  // ------------------------------------------------------------------------
+  });
 
   // Relax one classified sub-queue at `gran`, charging the same SIMT and
   // memory streams the BFS expansion kernels charge (kernels.cpp), plus a
@@ -278,7 +202,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
         state_stores += relaxed.size();
         work += inspected * kInspectCycles + relaxed.size() * kVisitCycles;
         for (const vertex_t v : relaxed) {
-          if (use_hub && hub_flags_[v] != 0) {
+          if (use_hub && hubs_.flags[v] != 0) {
             // §4.3 adapted: a cache hit proves this hub was already marked
             // improved this superstep — skip the redundant global write.
             ++cache_probes;
@@ -332,38 +256,21 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
   const std::uint64_t bitmap_bytes_each =
       (static_cast<std::uint64_t>(n) / P + 7) / 8 + 1;
 
+  // Guard limits are routed through the program's traits: an unbounded-depth
+  // fixpoint (pagerank) masks the level count so max_levels cannot trip, an
+  // all-vertices frontier (cc, pagerank) masks the frontier size. Deadline
+  // and cancellation always apply. The program's resident state plays the
+  // kStatus flip-target role, the selected frontier the kFrontier role.
+  const bfs::ProgramTraits traits = program_->traits();
+  std::vector<bfs::LevelShard> shards(P);
   while (!frontier.empty() && !converged) {
-    if (injector != nullptr) injector->set_level(superstep);
-    if (options_.guard != nullptr) {
-      // Limits are routed through the program's traits: an unbounded-depth
-      // fixpoint (pagerank) masks the level count so max_levels cannot
-      // trip, an all-vertices frontier (cc, pagerank) masks the frontier
-      // size. Deadline and cancellation always apply.
-      const bfs::ProgramTraits traits = program_->traits();
-      options_.guard->check_level(
-          traits.bounded_depth ? superstep : 0,
-          traits.bounded_frontier ? frontier.size() : 0,
-          system_.elapsed_ms());
+    for (unsigned p = 0; p < P; ++p) {
+      shards[p] = {device_ids_[p], program_->raw_state_bytes(),
+                   std::as_writable_bytes(std::span<vertex_t>(frontier))};
     }
-    // Silent-flip window ahead of the checks meant to catch it: the
-    // program's resident state plays the kStatus role, the selected
-    // frontier the kFrontier role.
-    if (flips_armed) {
-      for (unsigned p = 0; p < P; ++p) {
-        injector->register_flip_target(sim::FlipTarget::kStatus,
-                                       device_ids_[p],
-                                       program_->raw_state_bytes());
-        injector->register_flip_target(
-            sim::FlipTarget::kFrontier, device_ids_[p],
-            std::as_writable_bytes(std::span<vertex_t>(frontier)));
-      }
-      injector->flip_pass(superstep, system_.elapsed_ms());
-    }
-    if (scrubs_on &&
-        superstep % static_cast<std::int32_t>(integ.scrub_interval) == 0) {
-      scrub(superstep);
-    }
-    if (audits_on) audit_superstep(superstep);
+    supervisor_.level_top(superstep, traits.bounded_depth ? superstep : 0,
+                          traits.bounded_frontier ? frontier.size() : 0,
+                          system_.elapsed_ms(), shards);
 
     bfs::LevelTrace trace;
     trace.level = superstep;
@@ -531,10 +438,7 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
     ++superstep;
   }
 
-  // Final integrity sweep: corruption landing on the last superstep is
-  // still caught before the result is reported.
-  if (scrubs_on) scrub(superstep);
-  if (audits_on) audit_superstep(superstep);
+  supervisor_.finish(superstep, system_.elapsed_ms());
 
   result.levels = std::move(first_touch);
   result.depth = superstep;

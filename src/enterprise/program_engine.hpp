@@ -38,7 +38,6 @@
 #include "bfs/result.hpp"
 #include "enterprise/enterprise_bfs.hpp"
 #include "graph/csr.hpp"
-#include "graph/digest.hpp"
 #include "graph/partition.hpp"
 #include "gpusim/multi_gpu.hpp"
 
@@ -61,8 +60,6 @@ class ProgramRunner {
   bfs::BfsResult run(graph::vertex_t source);
 
   const sim::Device& device() const { return system_.device(0); }
-  const bfs::VertexProgram& program() const { return *program_; }
-  unsigned num_devices() const { return system_.size(); }
 
  private:
   const graph::Csr* graph_;
@@ -75,11 +72,8 @@ class ProgramRunner {
   std::vector<unsigned> device_ids_;
   sim::MultiGpuSystem system_;
   std::vector<graph::VertexRange> ranges_;
-  std::vector<std::uint8_t> hub_flags_;
-  graph::edge_t hub_tau_ = 0;
-  graph::vertex_t total_hubs_ = 0;
-  // Load-time segment digests, computed only when scrubbing is armed.
-  graph::SegmentDigests digests_;
+  HubSet hubs_;
+  bfs::LevelSupervisor supervisor_;
 };
 
 }  // namespace ent::enterprise

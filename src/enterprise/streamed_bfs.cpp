@@ -1,13 +1,13 @@
 #include "enterprise/streamed_bfs.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "enterprise/cost_constants.hpp"
 #include "enterprise/frontier_queue.hpp"
 #include "enterprise/hub_cache.hpp"
 #include "enterprise/kernels.hpp"
 #include "enterprise/status_array.hpp"
-#include "graph/degree.hpp"
 #include "util/assert.hpp"
 
 namespace ent::enterprise {
@@ -20,15 +20,21 @@ StreamedBfs::StreamedBfs(const graph::Csr& g, StreamedOptions options)
       options_(std::move(options)),
       device_(std::make_unique<sim::Device>(options_.core.device)),
       link_(options_.link),
-      ranges_(graph::partition_equal_edges(g, options_.num_partitions)) {
+      ranges_(graph::partition_equal_edges(g, options_.num_partitions)),
+      hubs_(select_hubs(g, options_.core)),
+      supervisor_(g, options_.core) {
   ENT_ASSERT_MSG(!g.directed(),
                  "streamed BFS requires an undirected graph");
   ENT_ASSERT(options_.resident_partitions >= 1);
+  device_->set_trace_sink(options_.core.sink);
+  device_->set_device_id(options_.core.device_ordinal);
+  device_->set_fault_injector(options_.core.fault_injector);
   // The host<->device link is a party-of-one interconnect; wiring the
   // injector means comm-timeout / device-pinned comm-drop rules reach the
   // partition transfers instead of silently bypassing them.
   if (options_.core.fault_injector != nullptr) {
-    link_.set_fault_injector(options_.core.fault_injector, {0});
+    link_.set_fault_injector(options_.core.fault_injector,
+                             {options_.core.device_ordinal});
   }
 
   partition_bytes_.reserve(ranges_.size());
@@ -38,31 +44,15 @@ StreamedBfs::StreamedBfs(const graph::Csr& g, StreamedOptions options)
                                static_cast<std::uint64_t>(r.size()) *
                                    sizeof(edge_t));
   }
-
-  vertex_t target = options_.core.hub_target_count;
-  if (target == 0) {
-    target = std::clamp<vertex_t>(g.num_vertices() / 1024, 16,
-                                  options_.core.hub_cache_capacity);
-  }
-  const graph::HubStats hubs = graph::select_hub_threshold(g, target);
-  hub_tau_ = hubs.threshold;
-  total_hubs_ = hubs.num_hubs;
-  hub_flags_ = graph::hub_flags(g, hub_tau_);
 }
 
 unsigned StreamedBfs::partition_of(vertex_t v) const {
-  // Ranges are contiguous and sorted: binary search the start offsets.
-  unsigned lo = 0;
-  unsigned hi = static_cast<unsigned>(ranges_.size()) - 1;
-  while (lo < hi) {
-    const unsigned mid = (lo + hi) / 2;
-    if (v < ranges_[mid].end) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  // Ranges are contiguous and sorted: the first one ending past v (the last
+  // range catches an out-of-range flip, which the kernels then skip).
+  const auto it = std::partition_point(
+      ranges_.begin(), ranges_.end() - 1,
+      [&](const graph::VertexRange& r) { return r.end <= v; });
+  return static_cast<unsigned>(it - ranges_.begin());
 }
 
 double StreamedBfs::touch_partition(unsigned p) {
@@ -106,11 +96,9 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
   status.visit(source, 0);
   parents[source] = source;
 
-  const unsigned scan_threads =
-      options_.core.scan_threads != 0
-          ? options_.core.scan_threads
-          : options_.core.device.num_smx * 4096;
-  FrontierQueueGenerator gen(device_->memory(), scan_threads);
+  FrontierQueueGenerator gen(
+      device_->memory(),
+      scan_width(options_.core.scan_threads, options_.core.device));
   HubCache cache(options_.core.hub_cache_capacity);
 
   bfs::BfsResult result;
@@ -123,17 +111,31 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
   std::int32_t level = 0;
   edge_t visited_degree_sum = g.out_degree(source);
   const edge_t total_edges = g.num_edges();
+  // The simulated clock: kernels plus partition transfers.
+  const auto now_ms = [&] {
+    return device_->elapsed_ms() + stats_.transfer_ms;
+  };
+
+  bfs::BfsAudit audit;
+  supervisor_.begin_run([&](std::int32_t lvl) {
+    audit.check(supervisor_, lvl, {&options_.core.device_ordinal, 1},
+                {&status, 1}, {&queue, 1}, bottom_up);
+  });
+  audit.start(supervisor_, status, level, source);
 
   while (!queue.empty()) {
+    const bfs::LevelShard shard{
+        options_.core.device_ordinal, status.raw_bytes(),
+        std::as_writable_bytes(std::span<vertex_t>(queue))};
+    supervisor_.level_top(level, level, queue.size(), now_ms(), {&shard, 1});
     bfs::LevelTrace trace;
     trace.level = level;
-    const double level_start = device_->elapsed_ms() + stats_.transfer_ms;
+    const double level_start = now_ms();
 
     if (!bottom_up) {
-      edge_t m_f = 0;
-      for (vertex_t v : queue) m_f += g.out_degree(v);
+      const edge_t m_f = frontier_out_edges(g, queue);
       trace.alpha = compute_alpha(total_edges - visited_degree_sum, m_f);
-      trace.gamma = compute_gamma(queue, hub_flags_, total_hubs_);
+      trace.gamma = compute_gamma(queue, hubs_.flags, hubs_.total);
       if (options_.core.allow_direction_switch && !switched && level > 0 &&
           should_switch_to_bottom_up(options_.core.direction, trace.alpha,
                                      trace.gamma)) {
@@ -141,12 +143,8 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
         switched = true;
         sim::KernelRecord qrec;
         qrec.name = "queue_gen(switch)";
-        HubRefill refill;
-        if (options_.core.hub_cache) {
-          refill.cache = &cache;
-          refill.hub_flags = &hub_flags_;
-          refill.just_visited_level = level;
-        }
+        const HubRefill refill =
+            hubs_.refill(options_.core.hub_cache ? &cache : nullptr, level);
         queue = gen.direction_switch(status, refill, qrec);
         trace.queue_gen_ms += device_->run_kernel(std::move(qrec));
         if (queue.empty()) break;
@@ -190,45 +188,31 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
       sim::KernelRecord qrec;
       qrec.name = "queue_gen(top-down)";
       queue = gen.top_down(status, next_level, qrec);
-      for (vertex_t v : queue) visited_degree_sum += g.out_degree(v);
+      visited_degree_sum += frontier_out_edges(g, queue);
       trace.queue_gen_ms += device_->run_kernel(std::move(qrec));
     } else {
       if (newly_visited == 0) {
-        trace.total_ms =
-            device_->elapsed_ms() + stats_.transfer_ms - level_start;
+        trace.total_ms = now_ms() - level_start;
         result.level_trace.push_back(std::move(trace));
         break;
       }
       sim::KernelRecord qrec;
       qrec.name = "queue_gen(filter)";
-      HubRefill refill;
-      if (options_.core.hub_cache) {
-        refill.cache = &cache;
-        refill.hub_flags = &hub_flags_;
-        refill.just_visited_level = next_level;
-      }
+      const HubRefill refill =
+          hubs_.refill(options_.core.hub_cache ? &cache : nullptr, next_level);
       queue = gen.bottom_up_filter(queue, status, refill, qrec);
       trace.queue_gen_ms += device_->run_kernel(std::move(qrec));
     }
 
-    trace.total_ms =
-        device_->elapsed_ms() + stats_.transfer_ms - level_start;
+    audit.record(newly_visited);
+    trace.total_ms = now_ms() - level_start;
     result.level_trace.push_back(std::move(trace));
     level = next_level;
   }
+  supervisor_.finish(level, now_ms());
 
-  result.depth = 0;
-  result.vertices_visited = 0;
-  for (vertex_t v = 0; v < n; ++v) {
-    if (status.visited(v)) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, status.level(v));
-    }
-  }
-  result.levels = std::move(status).take();
-  result.parents = std::move(parents);
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
-  result.time_ms = device_->elapsed_ms() + stats_.transfer_ms;
+  bfs::finish_result(result, g, std::move(status).take(), std::move(parents));
+  result.time_ms = now_ms();
   return result;
 }
 

@@ -6,9 +6,17 @@
 // fixed vertex-range partitions; the device holds a bounded number of
 // resident partitions managed LRU. Each level expands only partitions that
 // contain frontiers, paying an interconnect transfer for every partition
-// fault. The BFS itself is the regular Enterprise pipeline (classified
-// queues, hub cache, gamma switching), so results are identical to the
-// in-memory system; only the cost of partition faults is added.
+// fault. Each resident partition's frontiers expand as one kernel at fixed
+// granularity — CTA top-down, Thread bottom-up — rather than through the
+// classified queues; queue generation, the hub cache and gamma switching
+// are Enterprise's, so the levels and visit counts match the in-memory
+// system and only the cost of partition faults is added.
+//
+// The per-level hooks of bfs::LevelSupervisor apply as in the other
+// engines: level-scoped fault rules (which also reach the partition
+// transfers), the RunGuard, silent flips of the status array and queue,
+// digest scrubs and the BFS audit. Checkpoints do not: a faulted run
+// restarts from the source.
 #pragma once
 
 #include <cstdint>
@@ -65,9 +73,8 @@ class StreamedBfs {
   std::vector<graph::VertexRange> ranges_;
   std::vector<std::uint64_t> partition_bytes_;
   std::list<unsigned> lru_;  // front = most recent
-  std::vector<std::uint8_t> hub_flags_;
-  graph::edge_t hub_tau_ = 0;
-  graph::vertex_t total_hubs_ = 0;
+  HubSet hubs_;
+  bfs::LevelSupervisor supervisor_;
   StreamedRunStats stats_;
 };
 

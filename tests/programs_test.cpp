@@ -427,6 +427,70 @@ TEST(Programs, SimulatedClockMatchesGoldenRuns) {
   }
 }
 
+// The BFS engines are pinned the same way: single-device enterprise and the
+// 4-GPU multi-gpu system on two undirected stand-ins. Rewrites of the level
+// loop or its per-level hooks must leave every literal here untouched.
+struct GoldenBfsRun {
+  const char* graph;
+  const char* engine;
+  double time_ms;
+  std::size_t levels;
+  std::uint64_t edges_inspected;
+  std::uint64_t digest;  // mix64 fold of levels, then parents
+};
+
+constexpr GoldenBfsRun kGoldenBfsRuns[] = {
+    {"KR2", "enterprise", 0.039433784116331097, 5, 5030,
+     0x2b1929cf24434eb0ull},
+    {"KR2", "multi-gpu", 0.15970631841909022, 5, 5030, 0xc146b3265112f9b0ull},
+    {"FB", "enterprise", 0.05642485234899329, 4, 44807, 0x001265842464f425ull},
+    {"FB", "multi-gpu", 0.17756888590604025, 4, 44807, 0x67746f1bf4106df5ull},
+};
+
+std::uint64_t bfs_digest(const bfs::BfsResult& r) {
+  std::uint64_t h = mix64(r.levels.size());
+  for (const std::int32_t l : r.levels) {
+    h = mix64(h ^ static_cast<std::uint32_t>(l));
+  }
+  h = mix64(h ^ r.parents.size());
+  for (const vertex_t p : r.parents) h = mix64(h ^ p);
+  return h;
+}
+
+TEST(Programs, BfsEnginesMatchGoldenRuns) {
+  graph::SuiteOptions opt;
+  opt.scale = 1.0 / 32.0;
+  opt.seed = 42;
+  bfs::EngineConfig config;
+  config.multi_gpu.num_gpus = 4;
+  std::map<std::string, Csr> graphs;
+  for (const GoldenBfsRun& want : kGoldenBfsRuns) {
+    auto it = graphs.find(want.graph);
+    if (it == graphs.end()) {
+      it = graphs.emplace(want.graph,
+                          graph::make_suite_graph(want.graph, opt).graph)
+               .first;
+    }
+    const Csr& g = it->second;
+    const auto engine = bfs::make_engine(want.engine, g, config);
+    ASSERT_NE(engine, nullptr) << want.engine;
+    const auto r = engine->run(connected_source(g));
+    std::uint64_t inspected = 0;
+    for (const auto& t : r.level_trace) inspected += t.edges_inspected;
+    char actual[256];
+    std::snprintf(actual, sizeof(actual),
+                  "{\"%s\", \"%s\", %.17g, %zu, %llu, 0x%016llxull}",
+                  want.graph, want.engine, r.time_ms, r.level_trace.size(),
+                  static_cast<unsigned long long>(inspected),
+                  static_cast<unsigned long long>(bfs_digest(r)));
+    SCOPED_TRACE(std::string("actual ") + actual);
+    EXPECT_EQ(r.time_ms, want.time_ms);
+    EXPECT_EQ(r.level_trace.size(), want.levels);
+    EXPECT_EQ(inspected, want.edges_inspected);
+    EXPECT_EQ(bfs_digest(r), want.digest);
+  }
+}
+
 // --- report schema ----------------------------------------------------------
 
 TEST(Programs, RunReportOmitsProgramKeyForPlainBfs) {

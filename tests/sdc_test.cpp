@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,9 +105,21 @@ struct FlipRunOutcome {
   std::uint64_t injected = 0;
   std::uint64_t detections = 0;
   std::uint64_t missed = 0;
+  std::uint64_t audit_checks = 0;
+  std::uint64_t scrub_passes = 0;
   bool threw_integrity = false;
   bool completed = false;
   bfs::BfsResult result;
+  // First scrub/audit verdict the run emitted (injections excluded).
+  std::optional<obs::IntegrityEvent> first_detection;
+};
+
+class FirstDetectionSink final : public obs::TraceSink {
+ public:
+  void integrity(const obs::IntegrityEvent& event) override {
+    if (!first && event.kind != "flip") first = event;
+  }
+  std::optional<obs::IntegrityEvent> first;
 };
 
 // Runs `engine_name` over a fresh copy of `g` with the given flip plan and
@@ -117,6 +130,7 @@ FlipRunOutcome run_with_flips(const std::string& engine_name, Csr& g,
                               bfs::AuditMode audit,
                               std::uint32_t scrub_interval) {
   obs::MetricsRegistry metrics;
+  FirstDetectionSink sink;
   const auto plan = sim::FaultPlan::parse(plan_spec);
   EXPECT_TRUE(plan.has_value()) << plan_spec;
   sim::FaultInjector injector(*plan);
@@ -125,6 +139,7 @@ FlipRunOutcome run_with_flips(const std::string& engine_name, Csr& g,
                                 g.raw_adjacency_bytes());
   bfs::EngineConfig config;
   config.metrics = &metrics;
+  config.sink = &sink;
   config.fault_injector = &injector;
   config.integrity.audit = audit;
   config.integrity.scrub_interval = scrub_interval;
@@ -143,7 +158,10 @@ FlipRunOutcome run_with_flips(const std::string& engine_name, Csr& g,
   if (section.has_value()) {
     out.detections = section->detections;
     out.missed = section->flips_missed;
+    out.audit_checks = section->audit_checks;
+    out.scrub_passes = section->scrub_passes;
   }
+  out.first_detection = sink.first;
   return out;
 }
 
@@ -209,6 +227,92 @@ TEST(DetectionSweep, SampledAuditsRunCheapChecksOnCleanRuns) {
   EXPECT_GT(section->audit_checks, 0u);
   EXPECT_EQ(section->audit_failures, 0u);
   EXPECT_EQ(section->detections, 0u);
+}
+
+// --- golden integrity table ------------------------------------------------
+
+// One status or frontier flip at level 1 against every engine that carries
+// the per-level hooks, under full and sampled audits with a scrub every
+// second level. Each row pins what the hooks saw: whether the run threw,
+// the detection/audit/scrub counters, and the first verdict's coordinates.
+// A change here means the hooks now check, draw or report differently.
+struct GoldenIntegrityRow {
+  const char* engine;
+  const char* target;
+  const char* audit;
+  bool threw;
+  std::uint64_t detections;
+  std::uint64_t audit_checks;
+  std::uint64_t scrub_passes;
+  const char* component;  // "" when nothing was detected
+  const char* detail;
+  int level;
+  unsigned device;
+};
+
+constexpr GoldenIntegrityRow kGoldenIntegrity[] = {
+    {"enterprise", "status", "full", true, 1, 2, 1, "status",
+     "vertex 32 has level -16385 outside [-1, 1]", 1, 0},
+    {"enterprise", "status", "sampled", false, 0, 6, 4, "", "", -1, 0},
+    {"enterprise", "frontier", "full", true, 1, 2, 1, "frontier",
+     "queue entry 16687 out of range", 1, 0},
+    {"enterprise", "frontier", "sampled", true, 1, 2, 1, "frontier",
+     "queue entry 16687 out of range", 1, 0},
+    {"multi-gpu", "status", "full", true, 1, 2, 1, "status",
+     "gpu0 vertex 32 has level -16385 outside [-1, 1]", 1, 0},
+    {"multi-gpu", "status", "sampled", false, 0, 6, 4, "", "", -1, 0},
+    {"multi-gpu", "frontier", "full", true, 1, 2, 1, "frontier",
+     "gpu0 queue entry 16687 out of range", 1, 0},
+    {"multi-gpu", "frontier", "sampled", true, 1, 2, 1, "frontier",
+     "gpu0 queue entry 16687 out of range", 1, 0},
+    {"enterprise/sssp", "status", "full", true, 1, 2, 1, "program",
+     "sssp: negative or NaN distance at vertex 16", 1, 0},
+    {"enterprise/sssp", "status", "sampled", false, 0, 16, 9, "", "", -1, 0},
+    {"enterprise/sssp", "frontier", "full", true, 1, 2, 1, "frontier",
+     "frontier entry 16687 out of range", 1, 0},
+    {"enterprise/sssp", "frontier", "sampled", true, 1, 2, 1, "frontier",
+     "frontier entry 16687 out of range", 1, 0},
+};
+
+TEST(GoldenIntegrity, HooksReportTheSameVerdictsPerEngine) {
+  std::size_t row = 0;
+  for (const char* engine : {"enterprise", "multi-gpu", "enterprise/sssp"}) {
+    for (const char* target : {"status", "frontier"}) {
+      for (const bfs::AuditMode audit :
+           {bfs::AuditMode::kFull, bfs::AuditMode::kSampled}) {
+        Csr g = test_graph(6);
+        const std::string spec = std::string("flip@target=") + target +
+                                 ",level=1,offset=129,bit=6;seed=21";
+        const FlipRunOutcome out = run_with_flips(engine, g, spec, audit, 2);
+        const obs::IntegrityEvent first =
+            out.first_detection.value_or(obs::IntegrityEvent{});
+        std::ostringstream actual;
+        actual << "{\"" << engine << "\", \"" << target << "\", \""
+               << bfs::to_string(audit) << "\", "
+               << (out.threw_integrity ? "true" : "false") << ", "
+               << out.detections << ", " << out.audit_checks << ", "
+               << out.scrub_passes << ", \"" << first.component << "\", \""
+               << first.detail << "\", " << first.level << ", "
+               << first.device << "},";
+        SCOPED_TRACE("actual " + actual.str());
+        ASSERT_LT(row, std::size(kGoldenIntegrity));
+        const GoldenIntegrityRow& want = kGoldenIntegrity[row++];
+        EXPECT_EQ(engine, std::string(want.engine));
+        EXPECT_EQ(target, std::string(want.target));
+        EXPECT_EQ(bfs::to_string(audit), std::string(want.audit));
+        EXPECT_EQ(out.injected, 1u);
+        EXPECT_EQ(out.threw_integrity, want.threw);
+        EXPECT_EQ(out.detections, want.detections);
+        EXPECT_EQ(out.audit_checks, want.audit_checks);
+        EXPECT_EQ(out.scrub_passes, want.scrub_passes);
+        EXPECT_EQ(first.component, want.component);
+        EXPECT_EQ(first.detail, want.detail);
+        EXPECT_EQ(first.level, want.level);
+        EXPECT_EQ(first.device, want.device);
+      }
+    }
+  }
+  EXPECT_EQ(row, std::size(kGoldenIntegrity));
 }
 
 // --- missed counter as ground truth ----------------------------------------

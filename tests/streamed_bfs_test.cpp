@@ -1,13 +1,16 @@
 // Tests for the streamed (out-of-core) BFS extension: exact results, LRU
-// behaviour, transfer accounting, and the expected cost ordering against
-// the fully-resident system.
+// behaviour, transfer accounting, the expected cost ordering against the
+// fully-resident system, and the per-level hooks (level-scoped fault rules,
+// run guards, integrity audits) it shares with the other engines.
 #include <gtest/gtest.h>
 
 #include "baselines/cpu_bfs.hpp"
+#include "bfs/guard.hpp"
 #include "bfs/runner.hpp"
 #include "bfs/validate.hpp"
 #include "enterprise/streamed_bfs.hpp"
 #include "graph/generators.hpp"
+#include "gpusim/fault.hpp"
 
 namespace ent::enterprise {
 namespace {
@@ -108,6 +111,70 @@ TEST(Streamed, RejectsDirectedGraphs) {
   p.edge_factor = 4;
   const Csr g = graph::generate_rmat(p);
   EXPECT_DEATH(StreamedBfs(g, options(4, 2)), "undirected");
+}
+
+TEST(StreamedHooks, LevelScopedCommTimeoutTripsALevelOneTransfer) {
+  const Csr g = test_graph(7);
+  const auto src = bfs::sample_sources(g, 1, 13).at(0);
+  // Clean baseline: level 1 really does fault partitions in.
+  StreamedBfs clean(g, options(8, 1));
+  const auto r = clean.run(src);
+  ASSERT_GE(r.level_trace.size(), 2u);
+  ASSERT_GT(r.level_trace[1].comm_ms, 0.0);
+
+  const auto plan = sim::FaultPlan::parse("comm-timeout@level=1");
+  ASSERT_TRUE(plan.has_value());
+  sim::FaultInjector injector(*plan);
+  StreamedOptions opt = options(8, 1);
+  opt.core.fault_injector = &injector;
+  StreamedBfs sys(g, opt);
+  try {
+    sys.run(src);
+    FAIL() << "comm-timeout@level=1 never fired";
+  } catch (const sim::SimFault& f) {
+    EXPECT_EQ(f.type(), sim::FaultType::kCommTimeout);
+    // Level 0 transferred the source's partition without tripping.
+    EXPECT_GE(f.launch_index(), 1u);
+  }
+  EXPECT_EQ(injector.faults_injected(), 1u);
+}
+
+TEST(StreamedHooks, RunGuardMaxLevelsTrips) {
+  const Csr g = test_graph(8);
+  const auto src = bfs::sample_sources(g, 1, 15).at(0);
+  bfs::GuardLimits limits;
+  limits.max_levels = 1;
+  bfs::RunGuard guard(limits);
+  StreamedOptions opt = options(8, 2);
+  opt.core.guard = &guard;
+  StreamedBfs sys(g, opt);
+  try {
+    sys.run(src);
+    FAIL() << "max_levels=1 never tripped";
+  } catch (const bfs::GuardTripped& t) {
+    EXPECT_EQ(t.kind(), bfs::GuardKind::kLevels);
+  }
+}
+
+TEST(StreamedHooks, FullAuditCatchesAFrontierFlip) {
+  const Csr g = test_graph(9);
+  const auto src = bfs::sample_sources(g, 1, 17).at(0);
+  const auto plan =
+      sim::FaultPlan::parse("flip@target=frontier,level=1,offset=5,bit=6");
+  ASSERT_TRUE(plan.has_value());
+  sim::FaultInjector injector(*plan);
+  StreamedOptions opt = options(8, 2);
+  opt.core.fault_injector = &injector;
+  opt.core.integrity.audit = bfs::AuditMode::kFull;
+  StreamedBfs sys(g, opt);
+  try {
+    sys.run(src);
+    FAIL() << "the frontier flip went undetected";
+  } catch (const sim::IntegrityFault& f) {
+    EXPECT_EQ(f.component(), "frontier");
+    EXPECT_EQ(f.level(), 1);
+  }
+  EXPECT_EQ(injector.flips_injected(), 1u);
 }
 
 }  // namespace
