@@ -54,10 +54,11 @@ void BM_ExpandBottomUpWithCache(benchmark::State& state) {
     for (graph::vertex_t v = 0; v < 64; ++v) status.visit(v, 1);
     std::vector<graph::vertex_t> parents(g.num_vertices(),
                                          graph::kInvalidVertex);
+    BitArray parent_bits = status.parent_bits(2);
     sim::KernelRecord rec;
     benchmark::DoNotOptimize(enterprise::expand_bottom_up(
-        g, status, parents, queue, enterprise::Granularity::kThread, 2,
-        &cache, dev.memory(), rec));
+        g, status, parent_bits, parents, queue,
+        enterprise::Granularity::kThread, 2, &cache, dev.memory(), rec));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(queue.size()));

@@ -59,8 +59,8 @@ std::optional<EngineSpec> EngineSpec::parse(std::string_view text,
     const std::string_view segment = rest.substr(0, colon);
     if (segment != kGuardedDecorator && segment != kResilientDecorator) {
       return fail(error, SpecError::Code::kUnknownDecorator,
-                  "'" + std::string(segment) +
-                      "' is not a decorator (expected guarded or resilient)");
+                  std::string("'").append(segment).append(
+                      "' is not a decorator (expected guarded or resilient)"));
     }
     if (std::find(spec.decorators.begin(), spec.decorators.end(), segment) !=
         spec.decorators.end()) {

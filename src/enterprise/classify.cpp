@@ -49,9 +49,7 @@ ClassifiedQueues classify_frontiers(const graph::Csr& g,
   // Cost: one balanced pass over the frontier — load vertex id + two row
   // offsets (degree), store into one of four bins.
   sim::WarpAccumulator acc(mm.spec().warp_size);
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    acc.add_thread(kScanCycles + kBinWriteCycles);
-  }
+  acc.add_threads(frontier.size(), kScanCycles + kBinWriteCycles);
   acc.finish();
   record.warp_cycles += acc.warp_cycles();
   record.thread_cycles += acc.thread_cycles();

@@ -201,6 +201,8 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     HubCache* probe_cache =
         (bottom_up && options_.hub_cache) ? &cache : nullptr;
     const QueueOrder order = bottom_up ? bu_order : QueueOrder::kScattered;
+    BitArray parent_bits =
+        bottom_up ? status.parent_bits(next_level) : BitArray();
 
     if (options_.workload_balancing) {
       // Classification happens alongside queue generation (§4.2: each scan
@@ -231,9 +233,9 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
         rec.name = std::string(bottom_up ? "BU-" : "") + to_string(gran);
         const ExpandOutput out =
             bottom_up
-                ? expand_bottom_up(expand_graph, status, parents, sub, gran,
-                                   next_level, probe_cache, device_->memory(),
-                                   rec, order)
+                ? expand_bottom_up(expand_graph, status, parent_bits,
+                                   parents, sub, gran, next_level,
+                                   probe_cache, device_->memory(), rec, order)
                 : expand_top_down(expand_graph, status, parents, sub, gran,
                                   next_level, device_->memory(), rec, order);
         newly_visited += out.newly_visited;
@@ -266,9 +268,10 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
       rec.name = std::string(bottom_up ? "BU-Expand(" : "Expand(") +
                  to_string(gran) + ")";
       ExpandOutput out =
-          bottom_up ? expand_bottom_up(expand_graph, status, parents, queue,
-                                       gran, next_level, probe_cache,
-                                       device_->memory(), rec, order)
+          bottom_up ? expand_bottom_up(expand_graph, status, parent_bits,
+                                       parents, queue, gran, next_level,
+                                       probe_cache, device_->memory(), rec,
+                                       order)
                     : expand_top_down(expand_graph, status, parents, queue,
                                       gran, next_level, device_->memory(),
                                       rec, order);

@@ -21,16 +21,13 @@ void FrontierQueueGenerator::charge_scan(sim::KernelRecord& record,
   const std::uint64_t threads = scan_threads_;
   // Balanced scan: every thread covers ceil(elements/threads) statuses and
   // appends its share of frontiers to a private bin — no synchronization.
-  const std::uint64_t per_thread =
-      threads == 0 ? 0 : (elements_scanned + threads - 1) / threads;
-  const std::uint64_t bin_share =
-      threads == 0 ? 0 : (frontiers_found + threads - 1) / threads;
+  const std::uint64_t per_thread = (elements_scanned + threads - 1) / threads;
+  const std::uint64_t bin_share = (frontiers_found + threads - 1) / threads;
   sim::WarpAccumulator acc(mm_->spec().warp_size);
   const std::uint64_t launched = std::min<std::uint64_t>(
       threads, std::max<std::uint64_t>(elements_scanned, 1));
-  for (std::uint64_t t = 0; t < launched; ++t) {
-    acc.add_thread(per_thread * kScanCycles + bin_share * kBinWriteCycles);
-  }
+  acc.add_threads(launched,
+                  per_thread * kScanCycles + bin_share * kBinWriteCycles);
   acc.finish();
   record.warp_cycles += acc.warp_cycles();
   record.thread_cycles += acc.thread_cycles();
@@ -65,10 +62,7 @@ std::vector<vertex_t> FrontierQueueGenerator::top_down(
 std::vector<vertex_t> FrontierQueueGenerator::top_down(
     const StatusArray& status, std::int32_t level, vertex_t begin,
     vertex_t end, sim::KernelRecord& record) const {
-  std::vector<vertex_t> queue;
-  for (vertex_t v = begin; v < end; ++v) {
-    if (status.level(v) == level) queue.push_back(v);
-  }
+  std::vector<vertex_t> queue = status.vertices_at(level, begin, end);
   // Interleaved scan: thread t covers {t, t+T, ...}, so consecutive threads
   // read consecutive statuses — fully coalesced. The concatenated bins put
   // the queue out of vertex order; the cost model tags downstream adjacency
@@ -87,14 +81,14 @@ std::vector<vertex_t> FrontierQueueGenerator::direction_switch(
     const StatusArray& status, const HubRefill& refill, vertex_t begin,
     vertex_t end, sim::KernelRecord& record, ScanLayout layout) const {
   ENT_ASSERT(refill.cache == nullptr || refill.hub_flags != nullptr);
-  std::vector<vertex_t> queue;
+  std::vector<vertex_t> queue = status.vertices_at(kUnvisited, begin, end);
   std::uint64_t cache_inserts = 0;
-  for (vertex_t v = begin; v < end; ++v) {
-    if (!status.visited(v)) {
-      queue.push_back(v);
-    } else if (refill.cache != nullptr &&
-               status.level(v) == refill.just_visited_level &&
-               (*refill.hub_flags)[v] != 0) {
+  if (refill.cache != nullptr && refill.just_visited_level != kUnvisited) {
+    // One pass on the device; on the host a second scan, which inserts the
+    // just-visited hubs in the same ascending order.
+    for (vertex_t v :
+         status.vertices_at(refill.just_visited_level, begin, end)) {
+      if ((*refill.hub_flags)[v] == 0) continue;
       refill.cache->insert(v);
       ++cache_inserts;
     }
@@ -115,8 +109,10 @@ std::vector<vertex_t> FrontierQueueGenerator::bottom_up_filter(
     std::span<const vertex_t> previous, const StatusArray& status,
     const HubRefill& refill, sim::KernelRecord& record) const {
   ENT_ASSERT(refill.cache == nullptr || refill.hub_flags != nullptr);
-  std::vector<vertex_t> queue;
-  queue.reserve(previous.size());
+  // Every entry is written and kept only if still unvisited: no branch on
+  // the status, which splits unpredictably at the levels that matter.
+  std::vector<vertex_t> queue(previous.size());
+  std::size_t kept = 0;
   std::uint64_t cache_inserts = 0;
   const vertex_t n = status.size();
   for (vertex_t v : previous) {
@@ -124,17 +120,18 @@ std::vector<vertex_t> FrontierQueueGenerator::bottom_up_filter(
     // flip in `previous` from reading past the status array. The corrupted
     // entry is dropped here; the integrity audit catches the flip itself.
     if (v >= n) continue;
-    if (!status.visited(v)) {
-      queue.push_back(v);
-    } else if (refill.cache != nullptr &&
-               status.level(v) == refill.just_visited_level &&
-               (*refill.hub_flags)[v] != 0) {
+    const std::int32_t level = status.level(v);
+    queue[kept] = v;
+    kept += level == kUnvisited ? 1 : 0;
+    if (refill.cache != nullptr && level != kUnvisited &&
+        level == refill.just_visited_level && (*refill.hub_flags)[v] != 0) {
       // v left the unvisited set this level; if it is a hub it is a likely
       // parent for next level's frontiers.
       refill.cache->insert(v);
       ++cache_inserts;
     }
   }
+  queue.resize(kept);
   // Only the (fast-shrinking) previous queue is rescanned, not the whole
   // status array; the queue entries are sorted but sparse, so the status
   // gather is sector-granular.

@@ -1,14 +1,15 @@
 #include "enterprise/hub_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assert.hpp"
-#include "util/random.hpp"
 
 namespace ent::enterprise {
 
 HubCache::HubCache(std::size_t capacity)
-    : slots_(capacity, graph::kInvalidVertex) {
+    : slots_(capacity, graph::kInvalidVertex),
+      pow2_(std::has_single_bit(capacity)) {
   ENT_ASSERT(capacity >= 1);
 }
 
@@ -18,22 +19,11 @@ void HubCache::clear() {
   probes_ = 0;
 }
 
-std::size_t HubCache::slot_for(graph::vertex_t v) const {
-  return static_cast<std::size_t>(mix64(v) % slots_.size());
-}
-
 bool HubCache::insert(graph::vertex_t v) {
   graph::vertex_t& slot = slots_[slot_for(v)];
   const bool clean = slot == graph::kInvalidVertex || slot == v;
   slot = v;
   return clean;
-}
-
-bool HubCache::contains(graph::vertex_t v) const {
-  ++probes_;
-  const bool hit = slots_[slot_for(v)] == v;
-  if (hit) ++hits_;
-  return hit;
 }
 
 bool HubCache::probe_insert(graph::vertex_t v) {

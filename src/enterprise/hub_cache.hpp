@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/types.hpp"
+#include "util/random.hpp"
 
 namespace ent::enterprise {
 
@@ -35,7 +36,12 @@ class HubCache {
   // already held `v` (i.e., no eviction happened).
   bool insert(graph::vertex_t v);
 
-  bool contains(graph::vertex_t v) const;
+  bool contains(graph::vertex_t v) const {
+    ++probes_;
+    const bool hit = slots_[slot_for(v)] == v;
+    if (hit) ++hits_;
+    return hit;
+  }
 
   // contains(v) followed by insert(v) on a miss, hashing `v` once. Returns
   // whether `v` was already cached; probes() and hits() count it exactly
@@ -50,9 +56,16 @@ class HubCache {
   std::uint64_t probes() const { return probes_; }
 
  private:
-  std::size_t slot_for(graph::vertex_t v) const;
+  // mix64(v) % capacity; a power-of-two capacity (the default 1024) masks
+  // instead of dividing, which picks the same slot.
+  std::size_t slot_for(graph::vertex_t v) const {
+    const std::uint64_t h = mix64(v);
+    return static_cast<std::size_t>(pow2_ ? h & (slots_.size() - 1)
+                                          : h % slots_.size());
+  }
 
   std::vector<graph::vertex_t> slots_;
+  bool pow2_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t probes_ = 0;
 };

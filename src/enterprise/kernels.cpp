@@ -32,9 +32,8 @@ struct MemTally {
   }
 };
 
-void record_tally(const MemTally& t, Granularity gran, QueueOrder order,
+void record_tally(const MemTally& t, QueueOrder order,
                   const sim::MemoryModel& mm, sim::KernelRecord& rec) {
-  (void)gran;
   // Queue and row-offset reads are warp-contiguous.
   mm.record_load(rec.mem, AccessPattern::kSequential, t.queue_loads,
                  sizeof(vertex_t));
@@ -157,11 +156,12 @@ ExpandOutput expand_top_down(const graph::Csr& g, StatusArray& status,
   record.thread_cycles += thread_acc.thread_cycles();
   record.launched_threads += thread_acc.threads();
   record.active_threads += thread_acc.active_threads();
-  record_tally(tally, gran, order, mm, record);
+  record_tally(tally, order, mm, record);
   return out;
 }
 
 ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
+                              BitArray& parent_bits,
                               std::vector<vertex_t>& parents,
                               std::span<const vertex_t> queue,
                               Granularity gran, std::int32_t next_level,
@@ -200,6 +200,7 @@ ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
             // Cache holds only vertices visited at the preceding level, so
             // this neighbor is a valid parent; no status read is needed.
             status.visit(v, next_level);
+            parent_bits.clear(v);
             parents[v] = neighbors[i];
             adopted = true;
           }
@@ -209,9 +210,10 @@ ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
       for (edge_t i = base; i < end && !adopted; ++i) {
         ++status_loads;
         if (neighbors[i] >= n) continue;  // injected adjacency flip
-        const std::int32_t lu = status.level(neighbors[i]);
-        if (lu != kUnvisited && lu < next_level) {
+        // The modelled global status read, answered from the bitmap.
+        if (parent_bits.get(neighbors[i])) {
           status.visit(v, next_level);
+          parent_bits.clear(v);
           parents[v] = neighbors[i];
           adopted = true;
         }
@@ -241,7 +243,7 @@ ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
   record.thread_cycles += thread_acc.thread_cycles();
   record.launched_threads += thread_acc.threads();
   record.active_threads += thread_acc.active_threads();
-  record_tally(tally, gran, order, mm, record);
+  record_tally(tally, order, mm, record);
   return out;
 }
 
@@ -301,7 +303,7 @@ ExpandOutput expand_status_top_down(const graph::Csr& g, StatusArray& status,
                  gran == Granularity::kThread ? AccessPattern::kSequential
                                               : AccessPattern::kRandom,
                  n, kStatusBytes);
-  record_tally(tally, gran, QueueOrder::kSorted, mm, record);
+  record_tally(tally, QueueOrder::kSorted, mm, record);
   return out;
 }
 
@@ -358,7 +360,7 @@ ExpandOutput expand_status_bottom_up(const graph::Csr& in_edges,
                  gran == Granularity::kThread ? AccessPattern::kSequential
                                               : AccessPattern::kRandom,
                  n, kStatusBytes);
-  record_tally(tally, gran, QueueOrder::kSorted, mm, record);
+  record_tally(tally, QueueOrder::kSorted, mm, record);
   return out;
 }
 

@@ -55,7 +55,14 @@ ExpandOutput expand_top_down(const graph::Csr& g, StatusArray& status,
 // adopting it as parent. When `cache` is non-null the neighbor id is probed
 // in the shared-memory hub cache first, and a hit terminates the inspection
 // without touching the neighbor's status in global memory (§4.3).
+//
+// `parent_bits` is status.parent_bits(next_level), built once per level
+// after the level's status flips and shared by that level's launches: the
+// host answers each modelled status read from it (the cost is still charged
+// as a status read), and every adoption clears its vertex's bit so the
+// bitmap keeps matching the status array.
 ExpandOutput expand_bottom_up(const graph::Csr& in_edges, StatusArray& status,
+                              BitArray& parent_bits,
                               std::vector<graph::vertex_t>& parents,
                               std::span<const graph::vertex_t> queue,
                               Granularity gran, std::int32_t next_level,

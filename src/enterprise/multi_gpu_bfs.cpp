@@ -264,6 +264,8 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
                                   std::vector<vertex_t>& par,
                                   HubCache* probe) -> ShardOutcome {
       ShardOutcome out;
+      BitArray parent_bits =
+          bottom_up ? status.parent_bits(next_level) : BitArray();
       if (eopt.workload_balancing) {
         sim::KernelRecord crec;
         crec.name = "classify";
@@ -278,9 +280,9 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
           sim::KernelRecord rec;
           rec.name = to_string(gran);
           const ExpandOutput o =
-              bottom_up ? expand_bottom_up(g, status, par, sub, gran,
-                                           next_level, probe, dev.memory(),
-                                           rec)
+              bottom_up ? expand_bottom_up(g, status, parent_bits, par, sub,
+                                           gran, next_level, probe,
+                                           dev.memory(), rec)
                         : expand_top_down(g, status, par, sub, gran,
                                           next_level, dev.memory(), rec);
           out.newly_visited += o.newly_visited;
@@ -292,9 +294,9 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
         sim::KernelRecord rec;
         rec.name = "Expand(CTA)";
         const ExpandOutput o =
-            bottom_up ? expand_bottom_up(g, status, par, frontier,
-                                         Granularity::kCta, next_level, probe,
-                                         dev.memory(), rec)
+            bottom_up ? expand_bottom_up(g, status, parent_bits, par,
+                                         frontier, Granularity::kCta,
+                                         next_level, probe, dev.memory(), rec)
                       : expand_top_down(g, status, par, frontier,
                                         Granularity::kCta, next_level,
                                         dev.memory(), rec);
@@ -411,11 +413,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     // is applied back to every private status array.
     BitArray merged(n);
     for (unsigned p = 0; p < P; ++p) {
-      BitArray just_visited(n);
-      for (vertex_t v = 0; v < n; ++v) {
-        if (statuses[p].level(v) == next_level) just_visited.set(v);
-      }
-      merged.merge_or(just_visited);
+      merged.merge_or(statuses[p].level_bits(next_level));
     }
     for (unsigned p = 0; p < P; ++p) {
       const auto words = merged.words();

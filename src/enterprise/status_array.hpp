@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "graph/types.hpp"
+#include "util/bit_array.hpp"
 
 namespace ent::enterprise {
 
@@ -45,6 +46,23 @@ class StatusArray {
 
   // Number of vertices visited so far (test/diagnostic helper).
   graph::vertex_t visited_count() const;
+
+  // Word-parallel status scans: the host compares 64 statuses per step,
+  // four at a time, where the device gives each status to one simulated
+  // thread (§4.1). The results equal those of a per-element loop.
+  //
+  // Every v in [begin, end) with level(v) == level, ascending.
+  std::vector<graph::vertex_t> vertices_at(std::int32_t level,
+                                           graph::vertex_t begin,
+                                           graph::vertex_t end) const;
+  // One bit per vertex, set where level(v) == level: the §4.4 __ballot()
+  // compression of the just-visited flags.
+  BitArray level_bits(std::int32_t level) const;
+  // One bit per vertex, set where the vertex is a valid bottom-up parent
+  // for `next_level`: visited (level != kUnvisited) at a level below it.
+  // The visited bitmap of Buluç et al.: the status read's answer from 1/32
+  // of the bytes.
+  BitArray parent_bits(std::int32_t next_level) const;
 
  private:
   std::vector<std::int32_t> levels_;

@@ -163,6 +163,8 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
     vertex_t newly_visited = 0;
     HubCache* probe =
         (bottom_up && options_.core.hub_cache) ? &cache : nullptr;
+    BitArray parent_bits =
+        bottom_up ? status.parent_bits(next_level) : BitArray();
     for (unsigned p = 0; p < ranges_.size(); ++p) {
       if (per_partition[p].empty()) continue;
       trace.comm_ms += touch_partition(p);
@@ -172,9 +174,9 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
                  std::to_string(p);
       const ExpandOutput out =
           bottom_up
-              ? expand_bottom_up(g, status, parents, per_partition[p],
-                                 Granularity::kThread, next_level, probe,
-                                 device_->memory(), rec)
+              ? expand_bottom_up(g, status, parent_bits, parents,
+                                 per_partition[p], Granularity::kThread,
+                                 next_level, probe, device_->memory(), rec)
               : expand_top_down(g, status, parents, per_partition[p],
                                 Granularity::kCta, next_level,
                                 device_->memory(), rec);

@@ -17,22 +17,6 @@ void KernelRecord::add(const KernelRecord& other) {
   time_ms += other.time_ms;
 }
 
-void WarpAccumulator::add_thread(std::uint64_t work_cycles) {
-  current_max_ = std::max(current_max_, work_cycles);
-  thread_cycles_ += work_cycles;
-  ++threads_;
-  if (work_cycles > 0) ++active_threads_;
-  if (++lane_ == warp_size_) finish();
-}
-
-void WarpAccumulator::finish() {
-  if (lane_ == 0) return;
-  warp_cycles_ += current_max_;
-  ++warps_;
-  lane_ = 0;
-  current_max_ = 0;
-}
-
 KernelCostModel::Terms KernelCostModel::terms(
     const KernelRecord& record) const {
   Terms t;

@@ -20,6 +20,7 @@
 // overlapping" of Thread/Warp/CTA kernels in Fig. 8.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -59,9 +60,46 @@ class WarpAccumulator {
  public:
   explicit WarpAccumulator(unsigned warp_size) : warp_size_(warp_size) {}
 
-  void add_thread(std::uint64_t work_cycles);
+  void add_thread(std::uint64_t work_cycles) {
+    current_max_ = std::max(current_max_, work_cycles);
+    thread_cycles_ += work_cycles;
+    ++threads_;
+    if (work_cycles > 0) ++active_threads_;
+    if (++lane_ == warp_size_) finish();
+  }
+
+  // `count` threads of equal work, in O(1): the same totals as `count`
+  // add_thread(work_cycles) calls. Tops up the open warp lane by lane,
+  // charges the whole warps in closed form, and leaves the rest open.
+  void add_threads(std::uint64_t count, std::uint64_t work_cycles) {
+    if (count == 0) return;
+    thread_cycles_ += count * work_cycles;
+    threads_ += count;
+    if (work_cycles > 0) active_threads_ += count;
+    if (lane_ != 0) {
+      const std::uint64_t fill =
+          std::min<std::uint64_t>(count, warp_size_ - lane_);
+      current_max_ = std::max(current_max_, work_cycles);
+      lane_ += static_cast<unsigned>(fill);
+      count -= fill;
+      if (lane_ == warp_size_) finish();
+      if (count == 0) return;
+    }
+    const std::uint64_t whole = count / warp_size_;
+    warp_cycles_ += whole * work_cycles;
+    warps_ += whole;
+    lane_ = static_cast<unsigned>(count % warp_size_);
+    if (lane_ != 0) current_max_ = work_cycles;
+  }
+
   // Flushes a partial warp (idle lanes cost nothing extra beyond the max).
-  void finish();
+  void finish() {
+    if (lane_ == 0) return;
+    warp_cycles_ += current_max_;
+    ++warps_;
+    lane_ = 0;
+    current_max_ = 0;
+  }
 
   std::uint64_t warp_cycles() const { return warp_cycles_; }
   std::uint64_t thread_cycles() const { return thread_cycles_; }

@@ -31,7 +31,7 @@ DeviceSpec k20() {
 }
 
 DeviceSpec scaled_down(DeviceSpec spec, double factor) {
-  spec.name += "/" + std::to_string(static_cast<int>(factor));
+  spec.name.append("/").append(std::to_string(static_cast<int>(factor)));
   spec.num_smx = static_cast<unsigned>(
       spec.num_smx / factor < 1.0 ? 1u
                                   : static_cast<unsigned>(

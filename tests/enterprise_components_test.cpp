@@ -3,6 +3,10 @@
 // workflows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 #include "enterprise/classify.hpp"
 #include "enterprise/direction.hpp"
 #include "enterprise/frontier_queue.hpp"
@@ -93,6 +97,41 @@ TEST(HubCache, ProbeInsertMatchesContainsThenInsert) {
       EXPECT_EQ(fused.contains(v), twin.contains(v))
           << "capacity " << capacity << " id " << v;
     }
+  }
+}
+
+TEST(HubCache, MatchesModuloTwinAtAnyCapacity) {
+  // Slot v is mix64(v) % capacity at every capacity; power-of-two ones
+  // mask instead of dividing. A plain modulo twin must agree on every
+  // answer and statistic, at non-powers of two (1000, the paper's "~1,000
+  // entries", and 7) as well as at 1 and the default 1024.
+  constexpr vertex_t kUniverse = 5000;
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{7}, std::size_t{1000}, std::size_t{1024}}) {
+    HubCache cache(capacity);
+    std::vector<vertex_t> twin(capacity, graph::kInvalidVertex);
+    std::uint64_t twin_hits = 0;
+    SplitMix64 rng(0xcafe + capacity);
+    for (int i = 0; i < 20000; ++i) {
+      const auto v = static_cast<vertex_t>(rng.next_below(kUniverse));
+      vertex_t& slot = twin[mix64(v) % capacity];
+      if (rng.next_below(2) == 0) {
+        const bool clean = slot == graph::kInvalidVertex || slot == v;
+        slot = v;
+        ASSERT_EQ(cache.insert(v), clean) << "draw " << i;
+      } else {
+        const bool hit = slot == v;
+        twin_hits += hit ? 1 : 0;
+        ASSERT_EQ(cache.contains(v), hit) << "draw " << i;
+      }
+    }
+    EXPECT_EQ(cache.hits(), twin_hits) << capacity;
+    EXPECT_GT(cache.hits(), 0u) << capacity;
+    EXPECT_EQ(cache.occupancy(),
+              static_cast<std::size_t>(std::count_if(
+                  twin.begin(), twin.end(),
+                  [](vertex_t v) { return v != graph::kInvalidVertex; })))
+        << capacity;
   }
 }
 
@@ -241,6 +280,94 @@ TEST_F(QueueGenTest, SwitchRefillsHubCache) {
   EXPECT_TRUE(cache.contains(7));
   EXPECT_FALSE(cache.contains(9));
   EXPECT_FALSE(cache.contains(11));
+}
+
+// Statuses a scan must treat exactly as a per-element loop does: unvisited,
+// ordinary levels, and the corrupt values a silent flip can leave (negative
+// other than kUnvisited, and huge).
+StatusArray mixed_status(vertex_t n, std::uint64_t seed) {
+  constexpr std::int32_t kValues[] = {
+      kUnvisited, 0, 1, 2, 3, 3, 3, -7, std::numeric_limits<std::int32_t>::min(),
+      std::numeric_limits<std::int32_t>::max(), 1 << 30};
+  StatusArray sa(n);
+  SplitMix64 rng(seed);
+  for (vertex_t v = 0; v < n; ++v) {
+    sa.visit(v, kValues[rng.next_below(std::size(kValues))]);
+  }
+  return sa;
+}
+
+TEST(FrontierQueue, TopDownMatchesScalarScan) {
+  sim::Device dev(sim::k40());
+  const FrontierQueueGenerator gen(dev.memory(), 256);
+  constexpr vertex_t kN = 1007;  // not a multiple of the 64-status word
+  const StatusArray sa = mixed_status(kN, 3);
+  const std::pair<vertex_t, vertex_t> ranges[] = {
+      {0, kN}, {3, 1000}, {17, 18}, {5, 5}, {64, 128}, {63, kN}, {0, 64},
+      {1000, kN}};
+  for (const std::int32_t level :
+       {kUnvisited, 0, 3, -7, std::numeric_limits<std::int32_t>::min(),
+        std::numeric_limits<std::int32_t>::max(), 1 << 30, 9}) {
+    for (const auto& [begin, end] : ranges) {
+      std::vector<vertex_t> want;
+      for (vertex_t v = begin; v < end; ++v) {
+        if (sa.level(v) == level) want.push_back(v);
+      }
+      sim::KernelRecord rec;
+      EXPECT_EQ(gen.top_down(sa, level, begin, end, rec), want)
+          << "level " << level << " [" << begin << ", " << end << ")";
+    }
+  }
+}
+
+TEST(FrontierQueue, DirectionSwitchMatchesScalarScan) {
+  sim::Device dev(sim::k40());
+  const FrontierQueueGenerator gen(dev.memory(), 256);
+  constexpr vertex_t kN = 1007;
+  const StatusArray sa = mixed_status(kN, 5);
+  std::vector<std::uint8_t> hubs(kN, 0);
+  for (vertex_t v = 0; v < kN; v += 3) hubs[v] = 1;
+  for (const auto& [begin, end] :
+       {std::pair<vertex_t, vertex_t>{0, kN}, {9, 700}, {64, 65}}) {
+    // The per-element loop the scan replaces, refilling its own cache.
+    std::vector<vertex_t> want;
+    HubCache want_cache(64);
+    for (vertex_t v = begin; v < end; ++v) {
+      if (!sa.visited(v)) {
+        want.push_back(v);
+      } else if (sa.level(v) == 2 && hubs[v] != 0) {
+        want_cache.insert(v);
+      }
+    }
+    HubCache cache(64);
+    sim::KernelRecord rec;
+    EXPECT_EQ(gen.direction_switch(sa, {&cache, &hubs, 2}, begin, end, rec),
+              want);
+    for (vertex_t v = 0; v < kN; ++v) {
+      EXPECT_EQ(cache.contains(v), want_cache.contains(v)) << v;
+    }
+  }
+}
+
+TEST(StatusArray, BitScansMatchScalarLoops) {
+  for (const vertex_t n : {0u, 1u, 63u, 64u, 65u, 1007u}) {
+    const StatusArray sa = mixed_status(n, 7 + n);
+    for (const std::int32_t level : {kUnvisited, 0, 3, -7, 1 << 30}) {
+      const BitArray at = sa.level_bits(level);
+      const BitArray parents = sa.parent_bits(level);
+      ASSERT_EQ(at.size(), n);
+      ASSERT_EQ(parents.size(), n);
+      for (vertex_t v = 0; v < n; ++v) {
+        const std::int32_t l = sa.level(v);
+        EXPECT_EQ(at.get(v), l == level) << "n " << n << " v " << v;
+        EXPECT_EQ(parents.get(v), l != kUnvisited && l < level)
+            << "n " << n << " v " << v << " next level " << level;
+      }
+      // Padding bits of the last word stay clear.
+      EXPECT_EQ(at.popcount(), static_cast<std::size_t>(std::count(
+                                   sa.data().begin(), sa.data().end(), level)));
+    }
+  }
 }
 
 TEST_F(QueueGenTest, BottomUpFilterRemovesVisited) {

@@ -157,6 +157,46 @@ TEST(WarpAccumulator, BalancedBeatsImbalancedAtEqualWork) {
   EXPECT_LT(balanced.warp_cycles(), skewed.warp_cycles());
 }
 
+TEST(WarpAccumulator, AddThreadsMatchesRepeatedAddThread) {
+  // The closed-form bulk charge must leave exactly the state `count`
+  // add_thread calls leave: every total, and the open warp (its lane and
+  // running max), which the trailing thread below exposes.
+  const auto same = [](const WarpAccumulator& a, const WarpAccumulator& b) {
+    EXPECT_EQ(a.warp_cycles(), b.warp_cycles());
+    EXPECT_EQ(a.thread_cycles(), b.thread_cycles());
+    EXPECT_EQ(a.threads(), b.threads());
+    EXPECT_EQ(a.active_threads(), b.active_threads());
+    EXPECT_EQ(a.num_warps(), b.num_warps());
+  };
+  for (const unsigned start_lane : {0u, 5u, 31u}) {
+    for (const std::uint64_t count : {0u, 1u, 31u, 32u, 33u, 4101u}) {
+      for (const std::uint64_t work : {0u, 3u, 40u}) {
+        SCOPED_TRACE(::testing::Message() << "start lane " << start_lane
+                                          << " count " << count << " work "
+                                          << work);
+        WarpAccumulator looped(32);
+        WarpAccumulator bulk(32);
+        for (unsigned i = 0; i < start_lane; ++i) {
+          looped.add_thread(10 + i % 3);
+          bulk.add_thread(10 + i % 3);
+        }
+        const std::uint64_t active_before = bulk.active_threads();
+        for (std::uint64_t t = 0; t < count; ++t) looped.add_thread(work);
+        bulk.add_threads(count, work);
+        same(looped, bulk);
+        if (work == 0) {
+          EXPECT_EQ(bulk.active_threads(), active_before);
+        }
+        looped.add_thread(7);
+        bulk.add_thread(7);
+        looped.finish();
+        bulk.finish();
+        same(looped, bulk);
+      }
+    }
+  }
+}
+
 // ---- cost model ----------------------------------------------------------------
 
 KernelRecord make_record(std::uint64_t warp_cycles, std::uint64_t threads) {

@@ -18,6 +18,7 @@
 #include "bfs/guard.hpp"
 #include "bfs/program.hpp"
 #include "bfs/spec.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "gpusim/fault.hpp"
@@ -428,8 +429,12 @@ TEST(Programs, SimulatedClockMatchesGoldenRuns) {
 }
 
 // The BFS engines are pinned the same way: single-device enterprise and the
-// 4-GPU multi-gpu system on two undirected stand-ins. Rewrites of the level
-// loop or its per-level hooks must leave every literal here untouched.
+// 4-GPU multi-gpu system on two undirected stand-ins, on ROAD (hundreds of
+// top-down levels, never switching direction) and on TW. TW is directed, so
+// enterprise's bottom-up levels walk its reversed CSR; multi-gpu requires an
+// undirected graph and runs on "TW+sym", TW with every edge doubled back.
+// Rewrites of the level loop, its per-level hooks or the host-side scans
+// must leave every literal here untouched.
 struct GoldenBfsRun {
   const char* graph;
   const char* engine;
@@ -445,7 +450,29 @@ constexpr GoldenBfsRun kGoldenBfsRuns[] = {
     {"KR2", "multi-gpu", 0.15970631841909022, 5, 5030, 0xc146b3265112f9b0ull},
     {"FB", "enterprise", 0.05642485234899329, 4, 44807, 0x001265842464f425ull},
     {"FB", "multi-gpu", 0.17756888590604025, 4, 44807, 0x67746f1bf4106df5ull},
+    {"ROAD", "enterprise", 0.6219483276171629, 78, 7376,
+     0xfd20126d73d914c3ull},
+    {"ROAD", "multi-gpu", 2.9631061622075774, 78, 7376, 0x369544040e137cacull},
+    {"TW", "enterprise", 0.11363057140193883, 7, 35670, 0xd97ffe6109bc2fd9ull},
+    {"TW+sym", "multi-gpu", 0.20579113432140195, 3, 49809,
+     0x1c05bc21210025efull},
 };
+
+// Suite stand-in `name`, or with a "+sym" suffix the stand-in symmetrized.
+Csr golden_graph(const std::string& name, const graph::SuiteOptions& opt) {
+  const std::size_t plus = name.find('+');
+  Csr g = graph::make_suite_graph(name.substr(0, plus), opt).graph;
+  if (plus == std::string::npos) return g;
+  std::vector<graph::Edge> edges;
+  edges.reserve(g.num_edges());
+  for (vertex_t u = 0; u < g.num_vertices(); ++u) {
+    for (const vertex_t v : g.neighbors(u)) edges.push_back({u, v});
+  }
+  graph::BuildOptions build;
+  build.symmetrize = true;
+  build.directed = false;
+  return graph::build_csr(g.num_vertices(), std::move(edges), build);
+}
 
 std::uint64_t bfs_digest(const bfs::BfsResult& r) {
   std::uint64_t h = mix64(r.levels.size());
@@ -467,9 +494,7 @@ TEST(Programs, BfsEnginesMatchGoldenRuns) {
   for (const GoldenBfsRun& want : kGoldenBfsRuns) {
     auto it = graphs.find(want.graph);
     if (it == graphs.end()) {
-      it = graphs.emplace(want.graph,
-                          graph::make_suite_graph(want.graph, opt).graph)
-               .first;
+      it = graphs.emplace(want.graph, golden_graph(want.graph, opt)).first;
     }
     const Csr& g = it->second;
     const auto engine = bfs::make_engine(want.engine, g, config);

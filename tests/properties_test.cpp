@@ -219,18 +219,45 @@ TEST(KernelEquivalence, BottomUpCacheNeverChangesVisitedSet) {
   }
   sim::KernelRecord ra;
   sim::KernelRecord rb;
+  BitArray bits_a = a.parent_bits(2);
+  BitArray bits_b = b.parent_bits(2);
   const auto out_a = enterprise::expand_bottom_up(
-      g, a, pa, unvisited, enterprise::Granularity::kThread, 2, nullptr,
-      dev.memory(), ra);
+      g, a, bits_a, pa, unvisited, enterprise::Granularity::kThread, 2,
+      nullptr, dev.memory(), ra);
   const auto out_b = enterprise::expand_bottom_up(
-      g, b, pb, unvisited, enterprise::Granularity::kThread, 2, &cache,
-      dev.memory(), rb);
+      g, b, bits_b, pb, unvisited, enterprise::Granularity::kThread, 2,
+      &cache, dev.memory(), rb);
   EXPECT_EQ(out_a.newly_visited, out_b.newly_visited);
   for (vertex_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(a.level(v), b.level(v)) << v;
   }
   // The cache must have removed some random status loads.
   EXPECT_LE(rb.mem.random_transactions, ra.mem.random_transactions);
+}
+
+TEST(KernelEquivalence, BottomUpParentBitsFollowAdoptions) {
+  // A queued vertex that is already visited (a silent flip can put one
+  // there) is re-adopted at next_level, so it stops being a valid parent
+  // for the rest of the level: the parent bitmap must drop it on adoption,
+  // exactly as the status read it stands for would.
+  const Csr g = graph::build_csr(3, {{0, 1}, {1, 2}},
+                                 {.symmetrize = true, .directed = false});
+  sim::Device dev(sim::k40());
+  enterprise::StatusArray status(3);
+  status.visit(0, 0);
+  status.visit(1, 0);
+  std::vector<vertex_t> parents(3, graph::kInvalidVertex);
+  BitArray bits = status.parent_bits(1);
+  const std::vector<vertex_t> queue{1, 2};
+  sim::KernelRecord rec;
+  const auto out = enterprise::expand_bottom_up(
+      g, status, bits, parents, queue, enterprise::Granularity::kThread, 1,
+      nullptr, dev.memory(), rec);
+  EXPECT_EQ(out.newly_visited, 1u);
+  EXPECT_EQ(status.level(1), 1);
+  EXPECT_FALSE(bits.get(1));
+  EXPECT_FALSE(status.visited(2));
+  EXPECT_EQ(parents[2], graph::kInvalidVertex);
 }
 
 TEST(KernelEquivalence, StatusArrayMatchesQueueExpansion) {
