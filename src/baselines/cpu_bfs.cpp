@@ -23,7 +23,6 @@ bfs::BfsResult cpu_bfs(const graph::Csr& g, graph::vertex_t source) {
   std::vector<vertex_t> current{source};
   std::vector<vertex_t> next;
   std::int32_t level = 0;
-  result.vertices_visited = 1;
   while (!current.empty()) {
     next.clear();
     for (vertex_t v : current) {
@@ -40,13 +39,10 @@ bfs::BfsResult cpu_bfs(const graph::Csr& g, graph::vertex_t source) {
       }
     }
     current.swap(next);
-    if (!current.empty()) {
-      ++level;
-      result.vertices_visited += static_cast<vertex_t>(current.size());
-    }
+    ++level;
   }
-  result.depth = level;
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  bfs::finish_result(result, g, std::move(result.levels),
+                     std::move(result.parents));
   result.time_ms = timer.millis();
   return result;
 }

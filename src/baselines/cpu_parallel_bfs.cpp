@@ -76,18 +76,11 @@ bfs::BfsResult cpu_parallel_bfs(const graph::Csr& g, vertex_t source,
 
   bfs::BfsResult result;
   result.source = source;
-  result.levels.resize(n);
-  result.vertices_visited = 0;
-  result.depth = 0;
+  std::vector<std::int32_t> final_levels(n);
   for (vertex_t v = 0; v < n; ++v) {
-    result.levels[v] = levels[v].load(std::memory_order_relaxed);
-    if (result.levels[v] >= 0) {
-      ++result.vertices_visited;
-      result.depth = std::max(result.depth, result.levels[v]);
-    }
+    final_levels[v] = levels[v].load(std::memory_order_relaxed);
   }
-  result.parents = std::move(parents);
-  result.edges_traversed = bfs::count_traversed_edges(g, result.levels);
+  bfs::finish_result(result, g, std::move(final_levels), std::move(parents));
   result.time_ms = timer.millis();
   return result;
 }

@@ -472,24 +472,40 @@ std::map<std::string, EngineFactory>& registry() {
 }
 
 // Semantic checks a grammar-valid spec still needs: a registered base, a
-// known program on a base that can run one, and params only where a program
-// consumes them. Program params are validated by actually building the
-// program (the factories own the key/value rules).
-bool core_valid(const EngineSpec& spec, const graph::Csr& g) {
-  if (registry().find(spec.base) == registry().end()) return false;
-  if (!spec.has_program()) return spec.params.empty();
+// known program on a base that can run one, params only where a program
+// consumes them, and a graph the base can run on (the multi-GPU BFS
+// partitions an undirected graph). Program params are validated by actually
+// building the program (the factories own the key/value rules). Returns why
+// the spec is rejected, empty when it is valid.
+std::string core_error(const EngineSpec& spec, const graph::Csr& g) {
+  if (registry().find(spec.base) == registry().end()) {
+    return "unknown system '" + spec.base + "'";
+  }
+  if (!spec.has_program()) {
+    if (!spec.params.empty()) return "params need a /<program>";
+    if (spec.base == "multi-gpu" && g.directed()) {
+      return "multi-gpu requires an undirected graph (symmetrize it)";
+    }
+    return {};
+  }
   if (spec.base != "enterprise" && spec.base != "multi-gpu" &&
       spec.base != "cpu") {
-    return false;
+    return "'" + spec.base + "' cannot run a program";
   }
-  return make_program(spec.program, g, ProgramParams{spec.params}) != nullptr;
+  std::string error;
+  if (make_program(spec.program, g, ProgramParams{spec.params}, &error) ==
+      nullptr) {
+    return error;
+  }
+  return {};
 }
 
 }  // namespace
 
 std::unique_ptr<Engine> make_engine(const std::string& name,
                                     const graph::Csr& g,
-                                    const EngineConfig& config) {
+                                    const EngineConfig& config,
+                                    std::string* error) {
   // Every successful construction is stamped with its recipe so
   // Engine::clone() can rebuild an independent instance later.
   const auto stamped = [&](std::unique_ptr<Engine> engine) {
@@ -506,8 +522,12 @@ std::unique_ptr<Engine> make_engine(const std::string& name,
   // resilience so a blown deadline propagates instead of being retried as
   // if it were a fault — docs/ARCHITECTURE.md). Callers wanting the typed
   // error parse the spec themselves.
-  std::optional<EngineSpec> parsed = EngineSpec::parse(name);
-  if (!parsed) return nullptr;
+  SpecError spec_error;
+  std::optional<EngineSpec> parsed = EngineSpec::parse(name, &spec_error);
+  if (!parsed) {
+    if (error != nullptr) *error = spec_error.message;
+    return nullptr;
+  }
   EngineSpec spec = std::move(*parsed);
   // Bare program names alias the enterprise machinery ("sssp" ==
   // "enterprise/sssp"); the registry itself stays BFS-only.
@@ -516,7 +536,10 @@ std::unique_ptr<Engine> make_engine(const std::string& name,
     spec.program = spec.base;
     spec.base = "enterprise";
   }
-  if (!core_valid(spec, g)) return nullptr;
+  if (std::string why = core_error(spec, g); !why.empty()) {
+    if (error != nullptr) *error = std::move(why);
+    return nullptr;
+  }
   if (!spec.decorators.empty()) {
     // Decorators build outermost-first; each wraps the remainder of the
     // chain and recurses through make_engine for its inner engine.

@@ -173,7 +173,8 @@ class Engine {
  private:
   friend std::unique_ptr<Engine> make_engine(const std::string& name,
                                              const graph::Csr& g,
-                                             const EngineConfig& config);
+                                             const EngineConfig& config,
+                                             std::string* error);
 
   // Clone recipe stamped by make_engine: the spec name (including any
   // decorator prefixes), the graph, and the caller's config as passed —
@@ -209,10 +210,12 @@ using EngineFactory = std::unique_ptr<Engine> (*)(const graph::Csr&,
 // (nullptr) by design, as are self-nested decorators
 // (docs/ARCHITECTURE.md, "The engine decorator stack"). Returns nullptr
 // for any spec that fails to parse (EngineSpec::parse carries the typed
-// error) or names an unknown base/program or bad params.
+// error), names an unknown base/program or bad params, or asks for the
+// multi-gpu BFS on a directed graph; `*error`, when given, then says which.
 std::unique_ptr<Engine> make_engine(const std::string& name,
                                     const graph::Csr& g,
-                                    const EngineConfig& config = {});
+                                    const EngineConfig& config = {},
+                                    std::string* error = nullptr);
 
 // Registered base names, sorted. The `--system=` vocabulary of bfs_runner
 // (each is additionally reachable decorated and, where supported, with a

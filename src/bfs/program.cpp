@@ -412,7 +412,8 @@ class PagerankProgram final : public VertexProgram {
       .bounded_depth = false,     // supersteps = convergence artifact
       .bounded_frontier = false,  // every superstep touches all vertices
       .symmetric = false,
-      .needs_source = false};
+      .needs_source = false,
+      .every_edge_improves = true};  // every push adds to next_[v]
   // Rank plus next-superstep accumulator.
   static constexpr std::uint64_t kBytesPerVertex = 2 * sizeof(double);
 
@@ -436,6 +437,7 @@ class PagerankProgram final : public VertexProgram {
 
   graph::edge_t relax_edges(vertex_t u, std::span<const vertex_t> nbrs,
                             std::vector<vertex_t>& improved) override {
+    (void)improved;  // every_edge_improves: the engine reads `nbrs`
     if (nbrs.empty()) return 0;
     const auto n = static_cast<vertex_t>(next_.size());
     // Pushes accumulate into next_; rank_ only changes in apply().
@@ -445,7 +447,6 @@ class PagerankProgram final : public VertexProgram {
       if (v >= n) continue;
       ++inspected;
       next_[v] += share;
-      improved.push_back(v);
     }
     return inspected;
   }

@@ -70,6 +70,10 @@ struct ProgramTraits {
   // The result depends on the source vertex (false: cc, pagerank — any
   // source yields the same answer).
   bool needs_source = true;
+  // Every in-range edge u->v relaxed improves v (pagerank's push adds a
+  // share to every neighbor). relax_edges then appends nothing: the engine
+  // takes the in-range entries of the relaxed span as the improved list.
+  bool every_edge_improves = false;
 
   bool operator==(const ProgramTraits&) const = default;
 };
@@ -92,7 +96,9 @@ class VertexProgram {
   // flips) are skipped without touching state. Returns the number of
   // in-range edges inspected. Must tolerate duplicate edges and
   // re-relaxation. One call per frontier vertex keeps the per-u value
-  // (distance, label, rank share) out of the edge loop.
+  // (distance, label, rank share) out of the edge loop. A program whose
+  // traits declare every_edge_improves appends nothing: every in-range
+  // entry of `nbrs` is an improvement, and the engine reads them from there.
   virtual graph::edge_t relax_edges(graph::vertex_t u,
                                     std::span<const graph::vertex_t> nbrs,
                                     std::vector<graph::vertex_t>& improved) = 0;

@@ -67,14 +67,11 @@ struct BfsResult {
   }
 };
 
-// TEPS numerator (§5): directed edges traversed by the search, counting
-// multiple edges and self-loops — the sum of out-degrees of visited
-// vertices.
-graph::edge_t count_traversed_edges(const graph::Csr& g,
-                                    const std::vector<std::int32_t>& levels);
-
-// Completes a finished search's result: stores `levels` (-1 = unvisited)
-// and `parents`, and derives depth, vertices_visited and edges_traversed.
+// Completes a finished search's result: stores `levels` (-1 = unvisited,
+// one per vertex of `g`) and `parents`, and derives depth, vertices_visited
+// and edges_traversed, the TEPS numerator (§5): directed edges traversed by
+// the search, counting multiple edges and self-loops — the sum of
+// out-degrees of visited vertices.
 void finish_result(BfsResult& result, const graph::Csr& g,
                    std::vector<std::int32_t> levels,
                    std::vector<graph::vertex_t> parents);

@@ -46,7 +46,16 @@ class HubCache {
   // contains(v) followed by insert(v) on a miss, hashing `v` once. Returns
   // whether `v` was already cached; probes() and hits() count it exactly
   // as contains() does.
-  bool probe_insert(graph::vertex_t v);
+  bool probe_insert(graph::vertex_t v) {
+    ++probes_;
+    graph::vertex_t& slot = slots_[slot_for(v)];
+    if (slot == v) {
+      ++hits_;
+      return true;
+    }
+    slot = v;
+    return false;
+  }
 
   // Occupied slots (diagnostics).
   std::size_t occupancy() const;

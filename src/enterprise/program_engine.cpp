@@ -1,7 +1,9 @@
 #include "enterprise/program_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <string>
 #include <utility>
@@ -32,6 +34,34 @@ constexpr unsigned kStateBytes = 8;
 constexpr std::uint64_t kApplyCycles = kPrefixSumCycles;
 
 }  // namespace
+
+void take_improved(std::span<std::uint8_t> marks,
+                   std::vector<vertex_t>& improved) {
+  // Byte i of a word loaded from marks + v is vertex v + i.
+  static_assert(std::endian::native == std::endian::little,
+                "the word-wide mark scan assumes little-endian bytes");
+  constexpr std::uint64_t kImprovedBits = 0x0101010101010101ull * kImprovedMark;
+  const std::size_t n = marks.size();
+  std::size_t v = 0;
+  for (; v + 8 <= n; v += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, marks.data() + v, sizeof(word));
+    std::uint64_t bits = word & kImprovedBits;
+    if (bits == 0) continue;
+    word &= ~kImprovedBits;
+    std::memcpy(marks.data() + v, &word, sizeof(word));
+    for (; bits != 0; bits &= bits - 1) {
+      improved.push_back(
+          static_cast<vertex_t>(v + static_cast<std::size_t>(
+                                        std::countr_zero(bits) / 8)));
+    }
+  }
+  for (; v < n; ++v) {
+    if ((marks[v] & kImprovedMark) == 0) continue;
+    marks[v] &= static_cast<std::uint8_t>(~kImprovedMark);
+    improved.push_back(static_cast<vertex_t>(v));
+  }
+}
 
 ProgramRunner::ProgramRunner(const graph::Csr& g,
                              std::unique_ptr<bfs::VertexProgram> program,
@@ -95,7 +125,6 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
   // "Active" array in the status-array role: the superstep at which a vertex
   // was last selected. The TS scan regenerates the dense queue from it.
   StatusArray active(n);
-  std::vector<std::uint8_t> improved_seen(n, 0);
   std::vector<std::int32_t> first_touch(n, -1);
   for (const vertex_t v : frontier) first_touch[v] = 0;
 
@@ -106,6 +135,14 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
 
   std::vector<HubCache> caches(P, HubCache(options_.hub_cache_capacity));
   const bool use_hub = options_.hub_cache && hubs_.total > 0;
+  // One mark byte per vertex, shared by all devices: the hub bit (only when
+  // the hub cache is on) and this superstep's improved bit.
+  std::vector<std::uint8_t> marks(n, 0);
+  if (use_hub) {
+    for (vertex_t v = 0; v < n; ++v) {
+      if (hubs_.flags[v] != 0) marks[v] = kHubMark;
+    }
+  }
 
   bfs::BfsResult result;
   result.source = source;
@@ -163,9 +200,10 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
   // memory streams the BFS expansion kernels charge (kernels.cpp), plus a
   // random program-state load per inspected edge and a random store per
   // improvement. Hub improvements go through the shared-memory cache;
-  // non-hubs pay the global improved-flag traffic. The program reports its
-  // improvements in edge order, so the hub-cache hits and evictions below
-  // replay exactly as an edge-at-a-time kernel would see them.
+  // non-hubs pay the global improved-flag traffic. Improvements are marked
+  // in edge order, so the hub-cache hits and evictions below replay exactly
+  // as an edge-at-a-time kernel would see them.
+  const bfs::ProgramTraits traits = program_->traits();
   std::vector<vertex_t> relaxed;
   std::int32_t superstep = 0;
   const auto relax_queue = [&](std::span<const vertex_t> sub, Granularity gran,
@@ -180,11 +218,27 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
       const std::uint64_t iters = work / kInspectCycles + 1;
       return iters * (1 + mm.spec().global_latency_cycles / 8);
     };
+    // §4.3 adapted: a hub improvement probes the cache, and a hit proves the
+    // hub was already marked this superstep (the cache starts each superstep
+    // empty), so only a miss pays the global flag store. A non-hub loads its
+    // flag and stores it when unset. Either way the mark ends up set.
+    const auto mark = [&](vertex_t v) {
+      const std::uint8_t m = marks[v];
+      if ((m & kHubMark) != 0) {
+        ++cache_probes;
+        flag_stores += cache.probe_insert(v) ? 0u : 1u;
+      } else {
+        ++flag_loads;
+        flag_stores += (m & kImprovedMark) != 0 ? 0u : 1u;
+      }
+      marks[v] = m | kImprovedMark;
+    };
     for (const vertex_t u : sub) {
       // Bounds guard against injected frontier flips; never fires on valid
       // data (see expand_top_down).
       if (u >= n) continue;
       std::uint64_t work = 0;
+      const std::uint64_t probes_before = cache_probes;
       const graph::Csr* views[2] = {&g, in_edges_};
       for (const graph::Csr* view : views) {
         if (view == nullptr) continue;
@@ -197,29 +251,21 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
         }
         relaxed.clear();
         const edge_t inspected = program_->relax_edges(u, neighbors, relaxed);
+        const std::uint64_t improvements =
+            traits.every_edge_improves ? inspected : relaxed.size();
         inspected_total += inspected;
         state_loads += inspected;
-        state_stores += relaxed.size();
-        work += inspected * kInspectCycles + relaxed.size() * kVisitCycles;
-        for (const vertex_t v : relaxed) {
-          if (use_hub && hubs_.flags[v] != 0) {
-            // §4.3 adapted: a cache hit proves this hub was already marked
-            // improved this superstep — skip the redundant global write.
-            ++cache_probes;
-            work += kCacheProbeCycles;
-            if (cache.probe_insert(v)) continue;
-            ++flag_stores;
-          } else {
-            ++flag_loads;
-            if (improved_seen[v] != 0) continue;
-            ++flag_stores;
+        state_stores += improvements;
+        work += inspected * kInspectCycles + improvements * kVisitCycles;
+        if (traits.every_edge_improves) {
+          for (const vertex_t v : neighbors) {
+            if (v < n) mark(v);
           }
-          // Only a hub evicted since its first mark gets here already set.
-          if (improved_seen[v] != 0) continue;
-          improved_seen[v] = 1;
-          if (first_touch[v] < 0) first_touch[v] = superstep + 1;
+        } else {
+          for (const vertex_t v : relaxed) mark(v);
         }
       }
+      work += (cache_probes - probes_before) * kCacheProbeCycles;
       if (gran == Granularity::kThread) {
         acc.add_thread(kExpandSetupCycles + work);
         rec.critical_cycles = std::max(rec.critical_cycles, chain(work));
@@ -261,8 +307,8 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
   // all-vertices frontier (cc, pagerank) masks the frontier size. Deadline
   // and cancellation always apply. The program's resident state plays the
   // kStatus flip-target role, the selected frontier the kFrontier role.
-  const bfs::ProgramTraits traits = program_->traits();
   std::vector<bfs::LevelShard> shards(P);
+  std::vector<vertex_t> improved;
   while (!frontier.empty() && !converged) {
     for (unsigned p = 0; p < P; ++p) {
       shards[p] = {device_ids_[p], program_->raw_state_bytes(),
@@ -419,12 +465,12 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
 
     // (5) Next frontier: the program selects from this superstep's improved
     // set (ascending for determinism), then votes on convergence. One scan
-    // of the flags emits the set in order and clears it.
-    std::vector<vertex_t> improved;
-    for (vertex_t v = 0; v < n; ++v) {
-      if (improved_seen[v] == 0) continue;
-      improved_seen[v] = 0;
-      improved.push_back(v);
+    // of the marks emits the set in order and clears it; a vertex improved
+    // for the first time records this superstep as its first touch.
+    improved.clear();
+    take_improved(marks, improved);
+    for (const vertex_t v : improved) {
+      if (first_touch[v] < 0) first_touch[v] = superstep + 1;
     }
     std::vector<vertex_t> next;
     program_->select_frontier(improved, next);

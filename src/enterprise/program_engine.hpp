@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bfs/program.hpp"
@@ -42,6 +43,18 @@
 #include "gpusim/multi_gpu.hpp"
 
 namespace ent::enterprise {
+
+// The superstep loop keeps one mark byte per vertex: the hub bit, fixed for
+// the run (set only when the hub cache is on), and the improved bit, set by
+// relax and cleared by the end-of-superstep scan.
+inline constexpr std::uint8_t kHubMark = 1;
+inline constexpr std::uint8_t kImprovedMark = 2;
+
+// Appends, ascending, every vertex whose improved bit is set in `marks` and
+// clears that bit; hub bits are kept. Reads the marks 8 per word and skips
+// words with no improved bit.
+void take_improved(std::span<std::uint8_t> marks,
+                   std::vector<graph::vertex_t>& improved);
 
 class ProgramRunner {
  public:

@@ -3,7 +3,9 @@
 // tree, across graph families, sizes, directedness, and technique toggles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "baselines/cpu_bfs.hpp"
 #include "bfs/validate.hpp"
@@ -113,6 +115,41 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<2>(param_info.param) ? "_hc" : "_nohc") +
              (std::get<3>(param_info.param) ? "_hybrid" : "_topdown");
     });
+
+// finish_result derives depth, vertices_visited and edges_traversed in one
+// pass; it must agree with the two passes it replaced (depth and visited
+// count over the levels, then the out-degree sum of levels >= 0), also for
+// a level corrupted to a negative value other than -1.
+TEST(BfsResult, FinishResultMatchesTwoPassFold) {
+  const Csr g = make_graph("kron", 5);
+  const vertex_t n = g.num_vertices();
+  std::vector<std::int32_t> levels = baselines::cpu_bfs(g, 0).levels;
+  ASSERT_NE(std::find(levels.begin(), levels.end(), -1), levels.end())
+      << "the graph needs unvisited vertices";
+  levels[n - 1] = -7;
+
+  std::int32_t depth = 0;
+  vertex_t visited = 0;
+  for (const std::int32_t l : levels) {
+    if (l != -1) {
+      ++visited;
+      depth = std::max(depth, l);
+    }
+  }
+  graph::edge_t traversed = 0;
+  for (vertex_t v = 0; v < n; ++v) {
+    if (levels[v] >= 0) traversed += g.out_degree(v);
+  }
+
+  bfs::BfsResult r;
+  const std::vector<vertex_t> parents(n, graph::kInvalidVertex);
+  bfs::finish_result(r, g, levels, parents);
+  EXPECT_EQ(r.depth, depth);
+  EXPECT_EQ(r.vertices_visited, visited);
+  EXPECT_EQ(r.edges_traversed, traversed);
+  EXPECT_EQ(r.levels, levels);
+  EXPECT_EQ(r.parents, parents);
+}
 
 TEST(EnterpriseBfs, IsolatedSourceVisitsOnlyItself) {
   // Vertex 5 has no edges at all.

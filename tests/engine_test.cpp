@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "bfs/engine.hpp"
 #include "bfs/runner.hpp"
 #include "bfs/validate.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
@@ -209,6 +211,29 @@ TEST(Engine, RegisterEngineExtendsTheRegistry) {
   ASSERT_NE(wrapped, nullptr);
   EXPECT_EQ(wrapped->name(), "resilient:custom-test-engine");
   EXPECT_TRUE(bfs::validate_tree(g, g, wrapped->run(connected_source(g))).ok);
+}
+
+// The multi-GPU BFS partitions an undirected graph: on a directed one the
+// registry refuses it under every decorator prefix, with a reason, instead
+// of building an engine that aborts. Programs on multi-gpu stay available.
+TEST(Engine, MultiGpuBfsRejectsDirectedGraphsUnderEveryPrefix) {
+  graph::BuildOptions build;
+  build.directed = true;
+  const Csr g = graph::build_csr(4, {{0, 1}, {1, 2}, {2, 3}}, build);
+  ASSERT_TRUE(g.directed());
+  for (const char* prefix :
+       {"", "guarded:", "resilient:", "guarded:resilient:"}) {
+    const std::string name = std::string(prefix) + "multi-gpu";
+    std::string error;
+    EXPECT_EQ(bfs::make_engine(name, g, {}, &error), nullptr) << name;
+    EXPECT_NE(error.find("requires an undirected graph"), std::string::npos)
+        << name << ": " << error;
+    EXPECT_NE(bfs::make_engine(std::string(prefix) + "enterprise", g),
+              nullptr)
+        << prefix;
+  }
+  EXPECT_NE(bfs::make_engine("multi-gpu/cc", g), nullptr);
+  EXPECT_NE(bfs::make_engine("multi-gpu", test_graph(9)), nullptr);
 }
 
 TEST(Engine, ResilientDecoratorRejectsMalformedNames) {

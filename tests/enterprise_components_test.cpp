@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "enterprise/classify.hpp"
 #include "enterprise/direction.hpp"
 #include "enterprise/frontier_queue.hpp"
 #include "enterprise/hub_cache.hpp"
+#include "enterprise/program_engine.hpp"
 #include "enterprise/status_array.hpp"
 #include "graph/builder.hpp"
 #include "gpusim/device.hpp"
@@ -132,6 +135,43 @@ TEST(HubCache, MatchesModuloTwinAtAnyCapacity) {
                   twin.begin(), twin.end(),
                   [](vertex_t v) { return v != graph::kInvalidVertex; })))
         << capacity;
+  }
+}
+
+// The program engine's end-of-superstep scan reads the mark bytes 8 per
+// word; it must emit and clear exactly what a per-byte loop would, keep
+// every hub bit, and handle a short last word (n = 1, 7, 9) as well as an
+// exact one (n = 8).
+TEST(ProgramMarks, ImprovedScanMatchesPerByteLoop) {
+  SplitMix64 rng(17);
+  for (const graph::vertex_t n : {1u, 7u, 8u, 9u, 1000u}) {
+    SCOPED_TRACE(n);
+    std::vector<std::uint8_t> marks(n);
+    for (auto& m : marks) {
+      m = static_cast<std::uint8_t>(rng.next_below(4));  // hub | improved
+    }
+    marks[n - 1] = enterprise::kHubMark | enterprise::kImprovedMark;
+    if (n == 1000) {
+      std::fill(marks.begin() + 16, marks.begin() + 40, 0);  // empty words
+    }
+    std::vector<std::uint8_t> want_marks = marks;
+    std::vector<graph::vertex_t> want;
+    for (graph::vertex_t v = 0; v < n; ++v) {
+      if ((want_marks[v] & enterprise::kImprovedMark) == 0) continue;
+      want_marks[v] &= static_cast<std::uint8_t>(~enterprise::kImprovedMark);
+      want.push_back(v);
+    }
+    std::vector<graph::vertex_t> got = {123};  // appends, never clears
+    enterprise::take_improved(marks, got);
+    ASSERT_FALSE(got.empty());
+    EXPECT_EQ(got.front(), 123u);
+    got.erase(got.begin());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(marks, want_marks);
+    EXPECT_EQ(marks[n - 1], enterprise::kHubMark);
+    got.clear();
+    enterprise::take_improved(marks, got);  // a second scan finds nothing
+    EXPECT_TRUE(got.empty());
   }
 }
 

@@ -22,6 +22,7 @@
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "gpusim/fault.hpp"
+#include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "util/random.hpp"
 
@@ -83,6 +84,10 @@ TEST(Programs, TraitsDeclareTraversalShape) {
   ASSERT_TRUE(pagerank.has_value());
   EXPECT_FALSE(pagerank->bounded_depth);
   EXPECT_FALSE(pagerank->bounded_frontier);
+  // Only pagerank's push improves every neighbor it reaches.
+  EXPECT_TRUE(pagerank->every_edge_improves);
+  EXPECT_FALSE(sssp->every_edge_improves);
+  EXPECT_FALSE(cc->every_edge_improves);
 }
 
 TEST(Programs, MakeProgramRejectsUnknownNamesAndParams) {
@@ -129,7 +134,9 @@ std::vector<std::byte> state_copy(bfs::VertexProgram& program) {
 }
 
 // Injected adjacency flips surface as neighbor ids >= n; relax_edges must
-// skip them without counting, reporting or touching state.
+// skip them without counting, reporting or touching state. A program that
+// declares every_edge_improves appends nothing at all: the engine reads its
+// improvements from the in-range entries of the span.
 TEST(Programs, RelaxEdgesSkipsOutOfRangeNeighbors) {
   const Csr g = test_graph(33);
   const vertex_t n = g.num_vertices();
@@ -145,6 +152,8 @@ TEST(Programs, RelaxEdgesSkipsOutOfRangeNeighbors) {
     const auto twin = bfs::make_program(name, g);
     ASSERT_NE(program, nullptr);
     ASSERT_NE(twin, nullptr);
+    const bfs::ProgramTraits traits = program->traits();
+    EXPECT_EQ(bfs::program_traits(name), traits);
     std::vector<vertex_t> frontier;
     program->init(u, frontier);
     twin->init(u, frontier);
@@ -162,6 +171,12 @@ TEST(Programs, RelaxEdgesSkipsOutOfRangeNeighbors) {
     EXPECT_EQ(twin->relax_edges(u, clean, want), 2u);
     EXPECT_EQ(improved, want);
     EXPECT_EQ(state_copy(*program), state_copy(*twin));
+    if (traits.every_edge_improves) {
+      EXPECT_TRUE(improved.empty());
+      EXPECT_EQ(program->relax_edges(u, nbrs, improved), nbrs.size());
+      EXPECT_EQ(twin->relax_edges(u, nbrs, want), nbrs.size());
+      EXPECT_TRUE(improved.empty());
+    }
 
     // Deferred state (pagerank's accumulators) surfaces at the barrier.
     program->apply(0);
@@ -350,31 +365,44 @@ TEST(Programs, AuditsDetectInjectedFlips) {
 // host-side rewrites of the program engine (relax loop, hub-cache probing,
 // improved-set bookkeeping) must leave every simulated figure bit-identical.
 // These literals pin one run of each program on a directed stand-in (LJ) and
-// an undirected one (KR2); a change here is a behaviour change, not noise.
+// an undirected one (KR2), single-device and 4-GPU (the improved set is
+// shared across devices); a change here is a behaviour change, not noise.
+// Besides the clock they pin the result (values, then parents), the
+// first-touch superstep of every vertex (`levels`) and the hub-cache
+// counters the engine reports to an attached MetricsRegistry.
 struct GoldenRun {
   const char* graph;
-  const char* program;
+  const char* engine;
   double time_ms;
   std::uint64_t edges_inspected;
   std::size_t supersteps;
   std::uint64_t gld_transactions;
   std::uint64_t gst_transactions;
   std::uint64_t digest;  // mix64 fold of values, then parents
+  std::uint64_t levels_digest;  // mix64 fold of levels (first touch)
+  std::uint64_t hub_probes;
+  std::uint64_t hub_hits;
 };
 
 constexpr GoldenRun kGoldenRuns[] = {
-    {"LJ", "sssp", 0.22680501038271367, 69479, 21, 102196, 35220,
-     0x74d9535f6356e1bfull},
-    {"LJ", "cc", 0.041655024608501116, 266595, 3, 318554, 36321,
-     0xf058594157eb0264ull},
-    {"LJ", "pagerank", 0.32992644295302009, 1066400, 16, 2088912, 1290544,
-     0x0fba548dc18ec557ull},
-    {"KR2", "sssp", 0.10514118517680215, 79489, 11, 86780, 5849,
-     0xdb43c83030f558e6ull},
-    {"KR2", "cc", 0.026564841608707743, 130487, 3, 140592, 6133,
-     0x33a0669eabf5e3b9ull},
-    {"KR2", "pagerank", 0.3014899591019215, 1109029, 17, 1950699, 1146599,
-     0x5efd8358a39a659bull},
+    {"LJ", "enterprise/sssp", 0.22680501038271367, 69479, 21, 102196, 35220,
+     0x74d9535f6356e1bfull, 0x61d5a2427886a222ull, 43, 8},
+    {"LJ", "enterprise/cc", 0.041655024608501116, 266595, 3, 318554, 36321,
+     0xf058594157eb0264ull, 0x4fd83143cf4f78d5ull, 38, 20},
+    {"LJ", "enterprise/pagerank", 0.32992644295302009, 1066400, 16, 2088912,
+     1290544, 0x0fba548dc18ec557ull, 0x4fd83143cf4f78d5ull, 250960, 244176},
+    {"KR2", "enterprise/sssp", 0.10514118517680215, 79489, 11, 86780, 5849,
+     0xdb43c83030f558e6ull, 0xcb125dd14b23d6abull, 43, 10},
+    {"KR2", "enterprise/cc", 0.026564841608707743, 130487, 3, 140592, 6133,
+     0x33a0669eabf5e3b9ull, 0xa5de49a87ba6009cull, 65, 49},
+    {"KR2", "enterprise/pagerank", 0.3014899591019215, 1109029, 17, 1950699,
+     1146599, 0x5efd8358a39a659bull, 0xa5de49a87ba6009cull, 331075, 330803},
+    {"KR2", "multi-gpu/sssp", 0.44019192702483678, 79339, 11, 30343, 2170,
+     0x88fdbb9db11433c9ull, 0xcb125dd14b23d6abull, 44, 4},
+    {"KR2", "multi-gpu/cc", 0.11818626281658015, 130522, 3, 44898, 3217,
+     0x33a0669eabf5e3b9ull, 0xa5de49a87ba6009cull, 56, 25},
+    {"KR2", "multi-gpu/pagerank", 0.81460390054064125, 1109029, 17, 615672,
+     369478, 0xfda6a941607a691aull, 0xa5de49a87ba6009cull, 331075, 329987},
 };
 
 std::uint64_t result_digest(const bfs::BfsResult& r) {
@@ -384,6 +412,14 @@ std::uint64_t result_digest(const bfs::BfsResult& r) {
   }
   h = mix64(h ^ r.parents.size());
   for (const vertex_t p : r.parents) h = mix64(h ^ p);
+  return h;
+}
+
+std::uint64_t levels_digest(const bfs::BfsResult& r) {
+  std::uint64_t h = mix64(r.levels.size());
+  for (const std::int32_t l : r.levels) {
+    h = mix64(h ^ static_cast<std::uint32_t>(l));
+  }
   return h;
 }
 
@@ -400,24 +436,36 @@ TEST(Programs, SimulatedClockMatchesGoldenRuns) {
                .first;
     }
     const Csr& g = it->second;
-    const auto engine =
-        bfs::make_engine("enterprise/" + std::string(want.program), g);
-    ASSERT_NE(engine, nullptr) << want.program;
+    obs::MetricsRegistry metrics;
+    bfs::EngineConfig config;
+    config.multi_gpu.num_gpus = 4;
+    config.metrics = &metrics;
+    const auto engine = bfs::make_engine(want.engine, g, config);
+    ASSERT_NE(engine, nullptr) << want.engine;
     const auto r = engine->run(connected_source(g));
     std::uint64_t inspected = 0;
     for (const auto& t : r.level_trace) inspected += t.edges_inspected;
     const auto counters = engine->counters();
-    ASSERT_TRUE(counters.has_value()) << want.program;
-    char actual[256];
+    ASSERT_TRUE(counters.has_value()) << want.engine;
+    const auto hub = [&](const char* name) -> std::uint64_t {
+      const auto c = metrics.counters().find(name);
+      return c == metrics.counters().end() ? 0 : c->second.value();
+    };
+    const std::uint64_t probes = hub("enterprise.hub_cache.probes");
+    const std::uint64_t hits = hub("enterprise.hub_cache.hits");
+    char actual[320];
     std::snprintf(actual, sizeof(actual),
                   "{\"%s\", \"%s\", %.17g, %llu, %zu, %llu, %llu, "
-                  "0x%016llxull}",
-                  want.graph, want.program, r.time_ms,
+                  "0x%016llxull, 0x%016llxull, %llu, %llu}",
+                  want.graph, want.engine, r.time_ms,
                   static_cast<unsigned long long>(inspected),
                   r.level_trace.size(),
                   static_cast<unsigned long long>(counters->gld_transactions),
                   static_cast<unsigned long long>(counters->gst_transactions),
-                  static_cast<unsigned long long>(result_digest(r)));
+                  static_cast<unsigned long long>(result_digest(r)),
+                  static_cast<unsigned long long>(levels_digest(r)),
+                  static_cast<unsigned long long>(probes),
+                  static_cast<unsigned long long>(hits));
     SCOPED_TRACE(std::string("actual ") + actual);
     EXPECT_EQ(r.time_ms, want.time_ms);
     EXPECT_EQ(inspected, want.edges_inspected);
@@ -425,6 +473,9 @@ TEST(Programs, SimulatedClockMatchesGoldenRuns) {
     EXPECT_EQ(counters->gld_transactions, want.gld_transactions);
     EXPECT_EQ(counters->gst_transactions, want.gst_transactions);
     EXPECT_EQ(result_digest(r), want.digest);
+    EXPECT_EQ(levels_digest(r), want.levels_digest);
+    EXPECT_EQ(probes, want.hub_probes);
+    EXPECT_EQ(hits, want.hub_hits);
   }
 }
 

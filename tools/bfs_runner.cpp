@@ -329,9 +329,11 @@ int main(int argc, char** argv) {
     system = "guarded:" + system;
   }
 
-  const auto engine = bfs::make_engine(system, g, config);
+  std::string engine_error;
+  const auto engine = bfs::make_engine(system, g, config, &engine_error);
   if (engine == nullptr) {
-    std::cerr << "unknown system '" << system << "'; known:";
+    std::cerr << "cannot build '" << system << "': " << engine_error
+              << "; known systems:";
     for (const auto& name : bfs::engine_names()) std::cerr << " " << name;
     std::cerr << "\n";
     return 1;
