@@ -23,9 +23,15 @@ bfs::BfsResult cpu_bfs(const graph::Csr& g, graph::vertex_t source) {
   std::vector<vertex_t> current{source};
   std::vector<vertex_t> next;
   std::int32_t level = 0;
+  // Depth, visited count and the TEPS numerator are counted here, apart
+  // from finish_result, so engines checked against this reference are
+  // checked against an independent count.
+  result.vertices_visited = 1;
+  result.edges_traversed = 0;
   while (!current.empty()) {
     next.clear();
     for (vertex_t v : current) {
+      result.edges_traversed += g.out_degree(v);
       for (vertex_t w : g.neighbors(v)) {
         // Never fires on a valid CSR; tolerates a silently corrupted
         // adjacency entry when this engine runs as a fallback (the digest
@@ -39,10 +45,12 @@ bfs::BfsResult cpu_bfs(const graph::Csr& g, graph::vertex_t source) {
       }
     }
     current.swap(next);
-    ++level;
+    if (!current.empty()) {
+      ++level;
+      result.vertices_visited += static_cast<vertex_t>(current.size());
+    }
   }
-  bfs::finish_result(result, g, std::move(result.levels),
-                     std::move(result.parents));
+  result.depth = level;
   result.time_ms = timer.millis();
   return result;
 }

@@ -1,7 +1,6 @@
 #include "enterprise/program_engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <span>
@@ -37,29 +36,22 @@ constexpr std::uint64_t kApplyCycles = kPrefixSumCycles;
 
 void take_improved(std::span<std::uint8_t> marks,
                    std::vector<vertex_t>& improved) {
-  // Byte i of a word loaded from marks + v is vertex v + i.
-  static_assert(std::endian::native == std::endian::little,
-                "the word-wide mark scan assumes little-endian bytes");
+  // A word only skips 8 vertices at once when none is improved; the bytes
+  // of a word with an improved bit are walked one by one.
   constexpr std::uint64_t kImprovedBits = 0x0101010101010101ull * kImprovedMark;
   const std::size_t n = marks.size();
-  std::size_t v = 0;
-  for (; v + 8 <= n; v += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, marks.data() + v, sizeof(word));
-    std::uint64_t bits = word & kImprovedBits;
-    if (bits == 0) continue;
-    word &= ~kImprovedBits;
-    std::memcpy(marks.data() + v, &word, sizeof(word));
-    for (; bits != 0; bits &= bits - 1) {
-      improved.push_back(
-          static_cast<vertex_t>(v + static_cast<std::size_t>(
-                                        std::countr_zero(bits) / 8)));
+  for (std::size_t v = 0; v < n; v += 8) {
+    const std::size_t end = std::min(v + 8, n);
+    if (end - v == 8) {
+      std::uint64_t word;
+      std::memcpy(&word, marks.data() + v, sizeof(word));
+      if ((word & kImprovedBits) == 0) continue;
     }
-  }
-  for (; v < n; ++v) {
-    if ((marks[v] & kImprovedMark) == 0) continue;
-    marks[v] &= static_cast<std::uint8_t>(~kImprovedMark);
-    improved.push_back(static_cast<vertex_t>(v));
+    for (std::size_t i = v; i < end; ++i) {
+      if ((marks[i] & kImprovedMark) == 0) continue;
+      marks[i] &= static_cast<std::uint8_t>(~kImprovedMark);
+      improved.push_back(static_cast<vertex_t>(i));
+    }
   }
 }
 

@@ -10,8 +10,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bfs/engine.hpp"
@@ -186,6 +188,98 @@ TEST(Programs, RelaxEdgesSkipsOutOfRangeNeighbors) {
     twin->finalize(expected);
     EXPECT_EQ(got.values, expected.values);
     EXPECT_EQ(got.parents, expected.parents);
+  }
+}
+
+// The program's own superstep loop on the host, without the engine: each
+// frontier vertex relaxes its out-edges in ascending order, the improved set
+// is deduplicated, and the program applies, selects and votes. Returns the
+// superstep count, the in-range edges the program reports inspecting and
+// the final values.
+struct HostProgramRun {
+  std::size_t supersteps = 0;
+  std::uint64_t edges_inspected = 0;
+  std::vector<double> values;
+};
+
+HostProgramRun run_program_on_host(const std::string& name, const Csr& g,
+                                   vertex_t source) {
+  const auto program = bfs::make_program(name, g);
+  EXPECT_NE(program, nullptr);
+  if (program == nullptr) return {};
+  const vertex_t n = g.num_vertices();
+  const bfs::ProgramTraits traits = program->traits();
+  HostProgramRun out;
+  std::vector<vertex_t> frontier;
+  program->init(source, frontier);
+  std::vector<std::uint8_t> seen(n, 0);
+  std::vector<vertex_t> relaxed;
+  bool converged = false;
+  for (int step = 0; !frontier.empty() && !converged; ++step) {
+    for (const vertex_t u : frontier) {
+      const auto nbrs = g.neighbors(u);
+      relaxed.clear();
+      out.edges_inspected += program->relax_edges(u, nbrs, relaxed);
+      if (traits.every_edge_improves) {
+        for (const vertex_t v : nbrs) {
+          if (v < n) relaxed.push_back(v);
+        }
+      }
+      for (const vertex_t v : relaxed) seen[v] = 1;
+    }
+    program->apply(step);
+    std::vector<vertex_t> improved;
+    for (vertex_t v = 0; v < n; ++v) {
+      if (seen[v] != 0) improved.push_back(v);
+      seen[v] = 0;
+    }
+    std::vector<vertex_t> next;
+    program->select_frontier(improved, next);
+    converged = program->converged(step, next.size());
+    frontier = std::move(next);
+    ++out.supersteps;
+  }
+  bfs::BfsResult r;
+  program->finalize(r);
+  out.values = std::move(r.values);
+  return out;
+}
+
+// An adjacency entry corrupted past the vertex space (the way a high-bit
+// flip lands) reaches the engine's relax and improved-set path on every
+// pagerank superstep. Both engines must skip it exactly as the program's
+// own loop does: a clean finish, the same supersteps and the same in-range
+// edge count. Under AddressSanitizer this also checks that no per-vertex
+// engine array is indexed by the bad id.
+TEST(Programs, EnginesSkipOutOfRangeAdjacencyEntryLikeTheProgram) {
+  Csr g = test_graph(41);
+  const vertex_t n = g.num_vertices();
+  const vertex_t u = connected_source(g);
+  const auto neighbors = g.neighbors(u);
+  auto bytes = g.raw_adjacency_bytes();
+  const auto offset = static_cast<std::size_t>(
+      reinterpret_cast<const std::byte*>(neighbors.data()) - bytes.data());
+  const vertex_t bad = n + 7;
+  std::memcpy(bytes.data() + offset, &bad, sizeof(bad));
+  ASSERT_EQ(g.neighbors(u)[0], bad);
+
+  const HostProgramRun want = run_program_on_host("pagerank", g, u);
+  ASSERT_GT(want.supersteps, 1u);
+  for (const char* spec : {"enterprise/pagerank", "multi-gpu/pagerank"}) {
+    SCOPED_TRACE(spec);
+    const auto engine = bfs::make_engine(spec, g);
+    ASSERT_NE(engine, nullptr);
+    const auto r = engine->run(u);
+    std::uint64_t inspected = 0;
+    for (const auto& t : r.level_trace) inspected += t.edges_inspected;
+    EXPECT_EQ(r.level_trace.size(), want.supersteps);
+    EXPECT_EQ(inspected, want.edges_inspected);
+    ASSERT_EQ(r.values.size(), want.values.size());
+    for (vertex_t v = 0; v < n; ++v) {
+      // Engines relax the frontier in queue order, so rank sums may round
+      // differently from the host's ascending order.
+      EXPECT_NEAR(r.values[v], want.values[v], 1e-12) << v;
+    }
   }
 }
 
