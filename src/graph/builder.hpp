@@ -16,9 +16,6 @@ struct BuildOptions {
   bool remove_self_loops = false;
   // Drop repeated (u, v) pairs. The paper keeps them; off by default.
   bool remove_duplicates = false;
-  // Sort each adjacency list ascending. The paper notes most inputs arrive
-  // sorted; sorting also makes adjacency loads sequential.
-  bool sort_neighbors = true;
   // Whether the resulting Csr reports itself directed.
   bool directed = true;
   // Allocation-bomb guard: the CSR row-offset array is num_vertices+1
@@ -31,9 +28,13 @@ struct BuildOptions {
   vertex_t max_vertices = 1u << 28;
 };
 
-// Builds a CSR over vertices [0, num_vertices). Edges referencing vertices
-// outside the range throw graph::GraphFormatError (graph/errors.hpp) naming
-// the offending edge index and endpoints.
+// Builds a CSR over vertices [0, num_vertices) in linear time. Every
+// adjacency list comes out sorted ascending (the paper notes most inputs
+// arrive sorted; sorted lists also make adjacency loads sequential), and
+// the directed-edge multiset is kept exactly unless the options drop
+// self-loops or duplicates. Edges referencing vertices outside the range
+// throw graph::GraphFormatError (graph/errors.hpp) naming the offending
+// edge's index in `edges` and its endpoints.
 Csr build_csr(vertex_t num_vertices, std::vector<Edge> edges,
               const BuildOptions& options = {});
 

@@ -13,22 +13,14 @@ namespace {
 
 // One recursive-matrix edge draw over a 2^scale x 2^scale adjacency matrix.
 Edge rmat_edge(int scale, double a, double b, double c, SplitMix64& rng) {
+  const double ab = a + b;
+  const double abc = ab + c;
   vertex_t src = 0;
   vertex_t dst = 0;
   for (int level = 0; level < scale; ++level) {
-    const double r = rng.next_double();
-    src <<= 1;
-    dst <<= 1;
-    if (r < a) {
-      // top-left quadrant: neither bit set
-    } else if (r < a + b) {
-      dst |= 1;  // top-right
-    } else if (r < a + b + c) {
-      src |= 1;  // bottom-left
-    } else {
-      src |= 1;  // bottom-right
-      dst |= 1;
-    }
+    const RmatQuadrant q = rmat_quadrant(rng.next_double(), a, ab, abc);
+    src = (src << 1) | q.src_bit;
+    dst = (dst << 1) | q.dst_bit;
   }
   return {src, dst};
 }
@@ -61,6 +53,28 @@ void relabel(std::vector<Edge>& edges, const std::vector<vertex_t>& perm) {
   for (Edge& e : edges) {
     e.src = perm[e.src];
     e.dst = perm[e.dst];
+  }
+}
+
+// Fisher-Yates shuffle, identical to drawing j = next_below(i) for i = size
+// down to 2 and swapping a[i-1] with a[j]. The draws depend only on the
+// generator, so each is taken kAhead steps early and its slot prefetched:
+// on a stub array larger than the cache every swap is a miss otherwise.
+void shuffle_prefetched(std::vector<vertex_t>& a, SplitMix64& rng) {
+  constexpr std::size_t kAhead = 16;
+  std::size_t ahead[kAhead];
+  std::size_t next = a.size();  // the next i whose j is drawn
+  const auto draw = [&] {
+    const auto j = static_cast<std::size_t>(rng.next_below(next));
+    ahead[next % kAhead] = j;
+    __builtin_prefetch(&a[j], 1);
+    --next;
+  };
+  while (next > 1 && a.size() - next < kAhead) draw();
+  for (std::size_t i = a.size(); i > 1; --i) {
+    const std::size_t j = ahead[i % kAhead];
+    if (next > 1) draw();
+    std::swap(a[i - 1], a[j]);
   }
 }
 
@@ -151,16 +165,14 @@ Csr generate_social(const SocialProfile& profile) {
   for (vertex_t v = 0; v < n; ++v) {
     for (edge_t d = 0; d < degree[v]; ++d) stubs.push_back(v);
   }
-  for (std::size_t i = stubs.size(); i > 1; --i) {
-    const auto j = static_cast<std::size_t>(rng.next_below(i));
-    std::swap(stubs[i - 1], stubs[j]);
-  }
+  shuffle_prefetched(stubs, rng);
 
   std::vector<Edge> edges;
   edges.reserve(stubs.size() / 2);
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     edges.push_back({stubs[i], stubs[i + 1]});
   }
+  stubs = {};  // freed before build_csr allocates the CSR arrays
 
   BuildOptions opts;
   opts.symmetrize = !profile.directed;

@@ -35,6 +35,25 @@ struct RmatParams {
 // Kronecker generator is the symmetrized special case below.
 Csr generate_rmat(const RmatParams& params);
 
+// One level of an R-MAT draw: the quadrant that uniform r in [0, 1) falls
+// in, given the cumulative thresholds a, a+b and a+b+c. Top-left is
+// r < a, top-right r < a+b, bottom-left r < a+b+c, bottom-right the rest.
+// Computed without branches: a draw's quadrant is unpredictable, so an
+// if-chain mispredicts on most levels of most edges.
+struct RmatQuadrant {
+  vertex_t src_bit;  // bottom half
+  vertex_t dst_bit;  // right half
+};
+
+inline RmatQuadrant rmat_quadrant(double r, double a, double ab,
+                                  double abc) {
+  const bool past_a = r >= a;
+  const bool past_ab = r >= ab;
+  const bool past_abc = r >= abc;
+  return {static_cast<vertex_t>(past_ab),
+          static_cast<vertex_t>(past_a ^ past_ab ^ past_abc)};
+}
+
 struct KroneckerParams {
   int scale = 16;
   int edge_factor = 16;

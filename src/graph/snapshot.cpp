@@ -276,7 +276,7 @@ ApplyResult apply_updates(const Csr& base, const UpdateBatch& batch) {
     touched.push_back(op.src);
     touched.push_back(op.dst);
   }
-  // Touched lists are re-sorted (the builder's sort_neighbors default);
+  // Touched lists are re-sorted (build_csr always emits sorted lists);
   // untouched lists keep their base order bit-for-bit.
   for (auto& [v, list] : touched_adj) std::sort(list.begin(), list.end());
   std::sort(touched.begin(), touched.end());

@@ -3,9 +3,13 @@
 // high-diameter stand-ins rely on.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+
 #include "graph/degree.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
+#include "util/random.hpp"
 #include "util/stats.hpp"
 
 namespace ent::graph {
@@ -35,6 +39,43 @@ TEST(Rmat, SeedChangesGraph) {
   const Csr b = generate_rmat(p);
   EXPECT_FALSE(std::equal(a.col_indices().begin(), a.col_indices().end(),
                           b.col_indices().begin()));
+}
+
+// The R-MAT draw's quadrant if-chain the branch-free rmat_quadrant replaced.
+RmatQuadrant if_chain_quadrant(double r, double a, double b, double c) {
+  if (r < a) return {0, 0};
+  if (r < a + b) return {0, 1};
+  if (r < a + b + c) return {1, 0};
+  return {1, 1};
+}
+
+TEST(Generators, RmatQuadrantMatchesIfChain) {
+  struct Params {
+    double a, b, c;
+  };
+  const Params params[] = {{0.45, 0.15, 0.15},  // generate_rmat default
+                           {0.57, 0.19, 0.19},  // Graph500 Kronecker
+                           {0.25, 0.25, 0.25},
+                           {0.0, 0.5, 0.0},
+                           {0.3, 0.0, 0.7}};
+  SplitMix64 rng(17);
+  for (const Params& p : params) {
+    const double ab = p.a + p.b;
+    const double abc = ab + p.c;
+    std::vector<double> draws = {0.0, std::nextafter(1.0, 0.0)};
+    for (const double t : {p.a, ab, abc}) {
+      // Exactly on each threshold and one ulp either side of it.
+      draws.insert(draws.end(), {t, std::nextafter(t, 0.0),
+                                 std::nextafter(t, 1.0)});
+    }
+    for (int i = 0; i < 10000; ++i) draws.push_back(rng.next_double());
+    for (const double r : draws) {
+      const RmatQuadrant want = if_chain_quadrant(r, p.a, p.b, p.c);
+      const RmatQuadrant got = rmat_quadrant(r, p.a, ab, abc);
+      EXPECT_EQ(got.src_bit, want.src_bit) << "r " << r << " a " << p.a;
+      EXPECT_EQ(got.dst_bit, want.dst_bit) << "r " << r << " a " << p.a;
+    }
+  }
 }
 
 TEST(Kronecker, SymmetrizedAndSkewed) {
@@ -218,6 +259,99 @@ TEST(Suite, DeterministicForSeed) {
   EXPECT_TRUE(std::equal(a.graph.col_indices().begin(),
                          a.graph.col_indices().end(),
                          b.graph.col_indices().begin()));
+}
+
+// ---- golden digests ---------------------------------------------------------
+
+// Every graph the suite builds is pinned byte for byte: the CSR is the input
+// of every simulated figure, so a generator or builder rewrite must leave
+// (n, directedness, row offsets, column indices) identical. A change here is
+// a change of every graph-dependent number in the repository, not noise.
+std::uint64_t csr_digest(const Csr& g) {
+  std::uint64_t h = mix64(g.num_vertices());
+  h = mix64(h ^ (g.directed() ? 1u : 0u));
+  h = mix64(h ^ g.row_offsets().size());
+  for (const edge_t o : g.row_offsets()) h = mix64(h ^ o);
+  h = mix64(h ^ g.col_indices().size());
+  for (const vertex_t v : g.col_indices()) h = mix64(h ^ v);
+  return h;
+}
+
+struct GoldenGraph {
+  const char* name;
+  double scale;
+  std::uint64_t digest;
+};
+
+std::string digest_row(const char* name, double scale, const Csr& g) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "{\"%s\", %g, 0x%016llxull}", name, scale,
+                static_cast<unsigned long long>(csr_digest(g)));
+  return buf;
+}
+
+constexpr GoldenGraph kGoldenSuite[] = {
+    {"FB", 1.0 / 32.0, 0x2320d459651cb4a1ull},
+    {"FR", 1.0 / 32.0, 0xd086bcddb7dccbf6ull},
+    {"GO", 1.0 / 32.0, 0xcaff3cf33b0dc65cull},
+    {"HW", 1.0 / 32.0, 0xc8e70bb9457f53cfull},
+    {"KR0", 1.0 / 32.0, 0x9f923f60a7e24a20ull},
+    {"KR1", 1.0 / 32.0, 0x7cf5392f842e61fbull},
+    {"KR2", 1.0 / 32.0, 0x8b4227825fc80a46ull},
+    {"KR3", 1.0 / 32.0, 0xcbcfdd93c883c73eull},
+    {"KR4", 1.0 / 32.0, 0x738c4dee81199967ull},
+    {"LJ", 1.0 / 32.0, 0x0f08c38c6090b9bcull},
+    {"OR", 1.0 / 32.0, 0xa9623619130fcb6eull},
+    {"PK", 1.0 / 32.0, 0x5427fa4c35d5877aull},
+    {"RM", 1.0 / 32.0, 0x801be502a64b469dull},
+    {"TW", 1.0 / 32.0, 0xdc1662bcaad0b176ull},
+    {"WK", 1.0 / 32.0, 0x8a92558082515d05ull},
+    {"WT", 1.0 / 32.0, 0x90ed44ee6b69c8b9ull},
+    {"YT", 1.0 / 32.0, 0xb07820a7dea9b8e5ull},
+    {"AUDI", 1.0 / 32.0, 0xd3c48de0f089f9e1ull},
+    {"ROAD", 1.0 / 32.0, 0x89c0a88ddca379e1ull},
+    {"OSM", 1.0 / 32.0, 0xb86844ad7cce48d0ull},
+    {"LJ", 0.25, 0xb7634745c98c255bull},
+    {"KR2", 0.25, 0xe4001a4576b25221ull},
+};
+
+TEST(Graph, SuiteGraphsMatchGoldenDigests) {
+  std::vector<std::pair<std::string, double>> wanted;
+  for (const auto& abbr : table1_abbreviations()) {
+    wanted.emplace_back(abbr, 1.0 / 32.0);
+  }
+  for (const auto& abbr : high_diameter_abbreviations()) {
+    wanted.emplace_back(abbr, 1.0 / 32.0);
+  }
+  wanted.emplace_back("LJ", 0.25);
+  wanted.emplace_back("KR2", 0.25);
+  ASSERT_EQ(std::size(kGoldenSuite), wanted.size());
+  for (std::size_t i = 0; i < wanted.size(); ++i) {
+    const GoldenGraph& want = kGoldenSuite[i];
+    EXPECT_EQ(want.name, wanted[i].first);
+    EXPECT_EQ(want.scale, wanted[i].second);
+    SuiteOptions opt;
+    opt.scale = want.scale;
+    const Csr g = make_suite_graph(want.name, opt).graph;
+    SCOPED_TRACE("actual " + digest_row(want.name, want.scale, g));
+    EXPECT_EQ(csr_digest(g), want.digest);
+  }
+}
+
+TEST(Graph, GeneratorsMatchGoldenDigests) {
+  const Csr rmat = generate_rmat(RmatParams{});
+  EXPECT_TRUE(rmat.directed());
+  EXPECT_EQ(csr_digest(rmat), 0xa2ae63319a55c95dull)
+      << digest_row("rmat", 1, rmat);
+  const Csr er_directed = generate_erdos_renyi(5000, 40000, true, 11);
+  EXPECT_EQ(csr_digest(er_directed), 0x02f6c2cd33f9e037ull)
+      << digest_row("er-directed", 1, er_directed);
+  const Csr er_undirected = generate_erdos_renyi(5000, 40000, false, 12);
+  EXPECT_EQ(csr_digest(er_undirected), 0xfa317c2c55cbf51full)
+      << digest_row("er-undirected", 1, er_undirected);
+  const Csr path = generate_long_path(20000, 0.05, 13);
+  EXPECT_EQ(csr_digest(path), 0x09e6381ba0213170ull)
+      << digest_row("long-path", 1, path);
 }
 
 }  // namespace

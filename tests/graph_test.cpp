@@ -1,13 +1,17 @@
 // Tests for the CSR graph, builder, I/O, degree analytics, and partitioner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/degree.hpp"
+#include "graph/errors.hpp"
 #include "graph/io.hpp"
 #include "graph/partition.hpp"
+#include "util/random.hpp"
 
 namespace ent::graph {
 namespace {
@@ -88,6 +92,112 @@ TEST(Builder, SortsNeighbors) {
   EXPECT_TRUE(std::is_sorted(n.begin(), n.end()));
 }
 
+// The sort-based builder build_csr replaced, kept as the oracle: append
+// twins, erase self-loops, globally sort and unique for duplicates, scatter
+// by source, then sort every row.
+Csr sorting_reference(vertex_t n, std::vector<Edge> edges,
+                      const BuildOptions& options) {
+  if (options.symmetrize) {
+    const std::size_t original = edges.size();
+    for (std::size_t i = 0; i < original; ++i) {
+      if (edges[i].src != edges[i].dst) {
+        edges.push_back({edges[i].dst, edges[i].src});
+      }
+    }
+  }
+  if (options.remove_self_loops) {
+    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
+  }
+  if (options.remove_duplicates) {
+    std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+      return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+    });
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  }
+  std::vector<edge_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (const Edge& e : edges) ++offsets[e.src + 1];
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<vertex_t> cols(edges.size());
+  std::vector<edge_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const Edge& e : edges) cols[cursor[e.src]++] = e.dst;
+  for (vertex_t v = 0; v < n; ++v) {
+    std::sort(cols.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+              cols.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+  }
+  return Csr(n, std::move(offsets), std::move(cols), options.directed);
+}
+
+// Seeded edge list over n vertices: uniform edges plus self-loops, exact
+// repeats and a hub (vertex n/2) on both ends of many edges.
+std::vector<Edge> messy_edges(vertex_t n, std::size_t count,
+                              std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto u = static_cast<vertex_t>(rng.next_below(n));
+    const auto v = static_cast<vertex_t>(rng.next_below(n));
+    switch (rng.next_below(5)) {
+      case 0: edges.push_back({u, u}); break;
+      case 1: edges.push_back({n / 2, v}); break;
+      case 2: edges.push_back({u, n / 2}); break;
+      default: edges.push_back({u, v}); break;
+    }
+    if (rng.next_below(4) == 0) edges.push_back(edges.back());
+  }
+  return edges;
+}
+
+TEST(Builder, MatchesSortingReference) {
+  struct Case {
+    vertex_t n;
+    std::vector<Edge> edges;
+  };
+  std::vector<Case> cases;
+  cases.push_back({1, {}});
+  cases.push_back({1, {{0, 0}, {0, 0}}});
+  cases.push_back({5, {}});
+  cases.push_back({3, {{2, 1}, {1, 2}, {2, 1}, {0, 0}, {2, 2}, {1, 0}}});
+  cases.push_back({7, messy_edges(7, 60, 1)});
+  cases.push_back({64, messy_edges(64, 500, 2)});
+  cases.push_back({1000, messy_edges(1000, 5000, 3)});
+  for (int mask = 0; mask < 8; ++mask) {
+    BuildOptions opts;
+    opts.symmetrize = (mask & 1) != 0;
+    opts.remove_self_loops = (mask & 2) != 0;
+    opts.remove_duplicates = (mask & 4) != 0;
+    opts.directed = !opts.symmetrize;
+    for (const Case& c : cases) {
+      SCOPED_TRACE("options mask " + std::to_string(mask) + ", n " +
+                   std::to_string(c.n) + ", " +
+                   std::to_string(c.edges.size()) + " edges");
+      const Csr want = sorting_reference(c.n, c.edges, opts);
+      const Csr got = build_csr(c.n, c.edges, opts);
+      EXPECT_EQ(got.num_vertices(), want.num_vertices());
+      EXPECT_EQ(got.directed(), want.directed());
+      EXPECT_TRUE(std::ranges::equal(got.row_offsets(), want.row_offsets()));
+      EXPECT_TRUE(std::ranges::equal(got.col_indices(), want.col_indices()));
+    }
+  }
+}
+
+TEST(Builder, OutOfRangeNamesInputIndexUnderEveryOption) {
+  // The range check runs on the input before any twin, drop or dedupe, so
+  // the reported index is the edge's position in the caller's list.
+  for (int mask = 0; mask < 8; ++mask) {
+    BuildOptions opts;
+    opts.symmetrize = (mask & 1) != 0;
+    opts.remove_self_loops = (mask & 2) != 0;
+    opts.remove_duplicates = (mask & 4) != 0;
+    try {
+      build_csr(4, {{1, 1}, {3, 2}, {3, 2}, {2, 9}, {5, 0}}, opts);
+      FAIL() << "expected GraphFormatError, mask " << mask;
+    } catch (const GraphFormatError& e) {
+      EXPECT_EQ(e.offset(), 3u) << "mask " << mask;
+      EXPECT_NE(std::string(e.what()).find("(2, 9)"), std::string::npos);
+    }
+  }
+}
+
 // ---- degree / hubs ------------------------------------------------------------
 
 TEST(Degree, SequenceMatchesOutDegrees) {
@@ -119,6 +229,34 @@ TEST(Degree, HubCountNeverExceedsTarget) {
   for (vertex_t target : {1u, 4u, 16u}) {
     const HubStats hubs = select_hub_threshold(g, target);
     EXPECT_LE(hubs.num_hubs, target) << "target " << target;
+  }
+}
+
+TEST(Degree, HubThresholdMatchesFullSort) {
+  // Many vertices share each degree, so ties straddle every cut; tau must be
+  // the (target+1)-th largest degree exactly as a full descending sort has it.
+  std::vector<Edge> edges;
+  SplitMix64 rng(5);
+  const vertex_t n = 300;
+  for (vertex_t v = 0; v < n; ++v) {
+    const auto degree = static_cast<vertex_t>(rng.next_below(6) * 4);
+    for (vertex_t k = 0; k < degree; ++k) {
+      edges.push_back({v, static_cast<vertex_t>(rng.next_below(n))});
+    }
+  }
+  const Csr g = build_csr(n, std::move(edges));
+  std::vector<edge_t> sorted(n);
+  for (vertex_t v = 0; v < n; ++v) sorted[v] = g.out_degree(v);
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  for (vertex_t target : {1u, 7u, 49u, 50u, 51u, 150u, 299u, 300u, 400u}) {
+    const edge_t want = target < n ? sorted[target] : 0;
+    const HubStats hubs = select_hub_threshold(g, target);
+    EXPECT_EQ(hubs.threshold, want) << "target " << target;
+    EXPECT_EQ(hubs.num_hubs,
+              static_cast<vertex_t>(std::count_if(
+                  sorted.begin(), sorted.end(),
+                  [&](edge_t d) { return d > want; })))
+        << "target " << target;
   }
 }
 

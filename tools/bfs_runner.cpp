@@ -146,8 +146,9 @@ void print_counters(const sim::HardwareCounters& c) {
 
 void print_help() {
   std::cout
-      << "usage: bfs_runner [--graph=<path>|--suite=<abbr>|"
-         "--scale=N --edge-factor=M]\n"
+      << "usage: bfs_runner [--graph=<path>|--suite=<abbr> "
+         "[--suite-scale=F]|\n"
+         "                   --scale=N --edge-factor=M]\n"
          "  --engine=<name> (alias --system)   one of:";
   for (const auto& name : bfs::engine_names()) std::cout << " " << name;
   std::cout
@@ -210,7 +211,8 @@ void print_help() {
          "exit codes: 0 ok, 1 usage/config error, 3 unrecovered fault,\n"
          "            4 rejected input or tripped guard,\n"
          "            5 undetected silent corruption (flips injected, zero\n"
-         "            detections — raise --audit/--scrub-interval)\n";
+         "            detections — raise --audit/--scrub-interval),\n"
+         "            6 --validate rejected a run (5 takes precedence)\n";
 }
 
 }  // namespace
@@ -636,6 +638,13 @@ int main(int argc, char** argv) {
               << " silent flip(s) injected, zero integrity detections;"
               << " enable --audit / --scrub-interval\n";
     return 5;
+  }
+  // A wrong answer with no flip behind it (or one the run reported) still
+  // fails the run. Checked after exit 5, which names the likelier cause.
+  if (do_validate && validated < summary.runs.size()) {
+    std::cerr << "VALIDATION FAILED: " << validated << " of "
+              << summary.runs.size() << " run(s) validated\n";
+    return 6;
   }
   return 0;
 }
