@@ -28,12 +28,13 @@ void BM_ExpandTopDownThread(benchmark::State& state) {
   for (graph::vertex_t v = 0; v < g.num_vertices(); v += 4) queue.push_back(v);
   for (auto _ : state) {
     enterprise::StatusArray status(g.num_vertices());
+    BitArray visits(g.num_vertices());
     std::vector<graph::vertex_t> parents(g.num_vertices(),
                                          graph::kInvalidVertex);
     sim::KernelRecord rec;
     benchmark::DoNotOptimize(enterprise::expand_top_down(
-        g, status, parents, queue, enterprise::Granularity::kThread, 1,
-        dev.memory(), rec));
+        g, status, visits, parents, queue, enterprise::Granularity::kThread,
+        1, dev.memory(), rec));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.num_edges() / 4));

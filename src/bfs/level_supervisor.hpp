@@ -76,6 +76,9 @@ class LevelSupervisor {
   // splits one traversal's accounting, and installs the engine's audit.
   void begin_run(Audit audit);
   bool audits_on() const { return audits_on_; }
+  // Whether this run's fault plan has silent-flip rules, which may rewrite
+  // status bytes at any level top.
+  bool flips_armed() const { return flips_armed_; }
 
   // The level top described above. `guard_level` / `guard_frontier` are
   // what the guard's limits see (an engine may mask either); `now_ms` is the

@@ -68,6 +68,9 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
   std::vector<vertex_t> parents(n, graph::kInvalidVertex);
   status.visit(source, 0);
   parents[source] = source;
+  // The next frontier as a bitmap: marked by each top-down expansion and
+  // emptied again by the queue generated from it.
+  BitArray visits(n);
 
   FrontierQueueGenerator gen(
       device_->memory(), scan_width(options_.scan_threads, options_.device));
@@ -185,7 +188,8 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
       bottom_up = false;
       sim::KernelRecord qrec;
       qrec.name = "queue_gen(switch-back)";
-      queue = gen.top_down(status, level, qrec);
+      BitArray at_level = status.level_bits(level);
+      queue = gen.top_down(at_level, 0, n, last_newly_visited, qrec);
       const std::string qname = qrec.name;
       const double qms = device_->run_kernel(std::move(qrec));
       trace.queue_gen_ms += qms;
@@ -236,8 +240,9 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
                 ? expand_bottom_up(expand_graph, status, parent_bits,
                                    parents, sub, gran, next_level,
                                    probe_cache, device_->memory(), rec, order)
-                : expand_top_down(expand_graph, status, parents, sub, gran,
-                                  next_level, device_->memory(), rec, order);
+                : expand_top_down(expand_graph, status, visits, parents,
+                                  sub, gran, next_level, device_->memory(),
+                                  rec, order);
         newly_visited += out.newly_visited;
         trace.edges_inspected += out.edges_inspected;
         recs.push_back(std::move(rec));
@@ -272,9 +277,9 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
                                        parents, queue, gran, next_level,
                                        probe_cache, device_->memory(), rec,
                                        order)
-                    : expand_top_down(expand_graph, status, parents, queue,
-                                      gran, next_level, device_->memory(),
-                                      rec, order);
+                    : expand_top_down(expand_graph, status, visits, parents,
+                                      queue, gran, next_level,
+                                      device_->memory(), rec, order);
       newly_visited += out.newly_visited;
       trace.edges_inspected += out.edges_inspected;
       const std::string rname = rec.name;
@@ -307,7 +312,11 @@ bfs::BfsResult EnterpriseBfs::run(vertex_t source) {
     if (!bottom_up) {
       sim::KernelRecord qrec;
       qrec.name = "queue_gen(top-down)";
-      queue = gen.top_down(status, next_level, qrec);
+      // A silent flip at the level top can lift a status to next_level
+      // without a visit; the status scan the device models finds it, so
+      // with flips armed the queue comes from the statuses themselves.
+      if (supervisor_.flips_armed()) visits = status.level_bits(next_level);
+      queue = gen.top_down(visits, 0, n, newly_visited, qrec);
       visited_degree_sum += frontier_out_edges(g, queue);
       const std::string qname = qrec.name;
       const double qgen_start_ms = device_->elapsed_ms();

@@ -1,5 +1,7 @@
 #include "enterprise/frontier_queue.hpp"
 
+#include <bit>
+
 #include "enterprise/cost_constants.hpp"
 #include "util/assert.hpp"
 
@@ -54,15 +56,36 @@ void FrontierQueueGenerator::charge_scan(sim::KernelRecord& record,
 }
 
 std::vector<vertex_t> FrontierQueueGenerator::top_down(
-    const StatusArray& status, std::int32_t level,
+    BitArray& next, vertex_t begin, vertex_t end, std::size_t expected,
     sim::KernelRecord& record) const {
-  return top_down(status, level, 0, status.size(), record);
-}
-
-std::vector<vertex_t> FrontierQueueGenerator::top_down(
-    const StatusArray& status, std::int32_t level, vertex_t begin,
-    vertex_t end, sim::KernelRecord& record) const {
-  std::vector<vertex_t> queue = status.vertices_at(level, begin, end);
+  ENT_ASSERT(begin <= end && end <= next.size());
+  std::vector<vertex_t> queue;
+  queue.reserve(expected);
+  const std::span<std::uint64_t> words = next.words();
+  // Emits and clears the bits of word w under `mask`, ascending.
+  const auto take = [&](std::size_t w, std::uint64_t mask) {
+    std::uint64_t bits = words[w] & mask;
+    if (bits == 0) return;
+    words[w] &= ~mask;
+    for (; bits != 0; bits &= bits - 1) {
+      queue.push_back(static_cast<vertex_t>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
+  };
+  if (begin < end) {
+    // Only the words holding `begin` and `end - 1` are cut by the range.
+    const std::size_t first = begin / 64;
+    const std::size_t last = (end - 1) / 64;
+    const std::uint64_t head = ~0ull << (begin % 64);
+    const std::uint64_t tail = ~0ull >> (63 - (end - 1) % 64);
+    if (first == last) {
+      take(first, head & tail);
+    } else {
+      take(first, head);
+      for (std::size_t w = first + 1; w < last; ++w) take(w, ~0ull);
+      take(last, tail);
+    }
+  }
   // Interleaved scan: thread t covers {t, t+T, ...}, so consecutive threads
   // read consecutive statuses — fully coalesced. The concatenated bins put
   // the queue out of vertex order; the cost model tags downstream adjacency

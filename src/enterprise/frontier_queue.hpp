@@ -5,7 +5,10 @@
 //
 //   top-down          interleaved scan (thread t reads t, t+T, t+2T, ...):
 //                     warp-coalesced status reads, queue order follows bin
-//                     concatenation (out of order across the vertex space);
+//                     concatenation (out of order across the vertex space).
+//                     The device model charges that scan; the host reads
+//                     the queue off the bitmap the expansion marked its
+//                     visits in, not off the status array;
 //   direction-switch  chunked scan (thread t reads one contiguous block):
 //                     strided status reads — ~2.4x slower to scan — but the
 //                     resulting queue is sorted, making the *next* level's
@@ -46,16 +49,16 @@ class FrontierQueueGenerator {
  public:
   FrontierQueueGenerator(const sim::MemoryModel& mm, unsigned scan_threads);
 
-  // Queue of vertices with status == level, interleaved thread order. The
-  // range overload scans only [begin, end) — one GPU's private slice in the
-  // multi-GPU system (§4.4).
-  std::vector<graph::vertex_t> top_down(const StatusArray& status,
-                                        std::int32_t level,
-                                        sim::KernelRecord& record) const;
-  std::vector<graph::vertex_t> top_down(const StatusArray& status,
-                                        std::int32_t level,
-                                        graph::vertex_t begin,
+  // Queue of the vertices whose bit is set in `next` within [begin, end),
+  // ascending: with `next` marked by expand_top_down this is the set a
+  // status scan for the next level finds. Clears those bits, so the bitmap
+  // is empty again once every range of it is consumed. `expected` (the
+  // level's newly visited count) only sizes the queue's first allocation.
+  // Charges the §4.1 interleaved scan of [begin, end) — one GPU's private
+  // slice in the multi-GPU system (§4.4) — as if the statuses were read.
+  std::vector<graph::vertex_t> top_down(BitArray& next, graph::vertex_t begin,
                                         graph::vertex_t end,
+                                        std::size_t expected,
                                         sim::KernelRecord& record) const;
 
   // Queue of unvisited vertices, ascending order (chunked scan). Refills

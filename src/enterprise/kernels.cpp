@@ -107,7 +107,7 @@ void charge_group_work(sim::KernelRecord& record, const sim::DeviceSpec& spec,
 }
 
 ExpandOutput expand_top_down(const graph::Csr& g, StatusArray& status,
-                             std::vector<vertex_t>& parents,
+                             BitArray& visits, std::vector<vertex_t>& parents,
                              std::span<const vertex_t> queue,
                              Granularity gran, std::int32_t next_level,
                              const sim::MemoryModel& mm,
@@ -130,6 +130,7 @@ ExpandOutput expand_top_down(const graph::Csr& g, StatusArray& status,
       if (w >= n) continue;
       if (!status.visited(w)) {
         status.visit(w, next_level);
+        visits.set(w);
         parents[w] = v;
         ++visited_here;
       }

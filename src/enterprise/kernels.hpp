@@ -42,7 +42,11 @@ enum class QueueOrder { kScattered, kSorted };
 // Top-down: inspect every out-neighbor of each queued frontier; unvisited
 // neighbors are marked `next_level` with the frontier as parent. Last writer
 // wins, as in the status-array discipline (§2.1: no atomics needed).
+//
+// Every visit also sets the vertex's bit in `visits`, the next frontier as a
+// bitmap, from which FrontierQueueGenerator::top_down builds the next queue.
 ExpandOutput expand_top_down(const graph::Csr& g, StatusArray& status,
+                             BitArray& visits,
                              std::vector<graph::vertex_t>& parents,
                              std::span<const graph::vertex_t> queue,
                              Granularity gran, std::int32_t next_level,

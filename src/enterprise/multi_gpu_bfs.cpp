@@ -250,6 +250,11 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
     trace.direction =
         bottom_up ? bfs::Direction::kBottomUp : bfs::Direction::kTopDown;
 
+    // The all-gathered just-visited bitmap of step (2). Top-down expansions
+    // mark their visits in it directly (a device only visits what it finds
+    // unvisited, so no two devices disagree on a bit).
+    BitArray merged(n);
+
     // Expand one frontier shard on one device: the same computation the
     // paper's per-GPU pass does, parameterized so the speculation rung can
     // replay the straggler's shard on a healthy device against copies of
@@ -283,8 +288,9 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
               bottom_up ? expand_bottom_up(g, status, parent_bits, par, sub,
                                            gran, next_level, probe,
                                            dev.memory(), rec)
-                        : expand_top_down(g, status, par, sub, gran,
-                                          next_level, dev.memory(), rec);
+                        : expand_top_down(g, status, merged, par, sub,
+                                          gran, next_level, dev.memory(),
+                                          rec);
           out.newly_visited += o.newly_visited;
           out.edges_inspected += o.edges_inspected;
           recs.push_back(std::move(rec));
@@ -297,7 +303,7 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
             bottom_up ? expand_bottom_up(g, status, parent_bits, par,
                                          frontier, Granularity::kCta,
                                          next_level, probe, dev.memory(), rec)
-                      : expand_top_down(g, status, par, frontier,
+                      : expand_top_down(g, status, merged, par, frontier,
                                         Granularity::kCta, next_level,
                                         dev.memory(), rec);
         out.newly_visited += o.newly_visited;
@@ -410,10 +416,14 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
 
     // (2) Compressed status all-gather: each device __ballot()-compresses
     // its just-visited flags into one bit per vertex; the merged (OR) view
-    // is applied back to every private status array.
-    BitArray merged(n);
-    for (unsigned p = 0; p < P; ++p) {
-      merged.merge_or(statuses[p].level_bits(next_level));
+    // is applied back to every private status array. Bottom-up expansions
+    // mark no bitmap, and a silent flip can lift a status to next_level
+    // without a visit, so then the flags come from the statuses.
+    const bool flips = supervisor_.flips_armed();
+    if (bottom_up || flips) {
+      for (unsigned p = 0; p < P; ++p) {
+        merged.merge_or(statuses[p].level_bits(next_level));
+      }
     }
     for (unsigned p = 0; p < P; ++p) {
       const auto words = merged.words();
@@ -475,8 +485,13 @@ bfs::BfsResult MultiGpuEnterpriseBfs::run(vertex_t source) {
       sim::KernelRecord rec;
       if (!bottom_up) {
         rec.name = "queue_gen(top-down)";
-        queues[p] = gen.top_down(statuses[p], next_level, ranges_[p].begin,
-                                 ranges_[p].end, rec);
+        // Without flips the device's slice of `merged` is exactly its
+        // statuses at next_level; with flips, one device's flipped status
+        // must not enter another's queue, so each reads its own.
+        BitArray own;
+        if (flips) own = statuses[p].level_bits(next_level);
+        queues[p] = gen.top_down(flips ? own : merged, ranges_[p].begin,
+                                 ranges_[p].end, newly_visited / P, rec);
         visited_degree_sum += frontier_out_edges(g, queues[p]);
       } else {
         rec.name = "queue_gen(filter)";

@@ -114,9 +114,9 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
   std::vector<vertex_t> frontier;
   program_->init(source, frontier);
 
-  // "Active" array in the status-array role: the superstep at which a vertex
-  // was last selected. The TS scan regenerates the dense queue from it.
-  StatusArray active(n);
+  // The selected frontier as a bitmap, in the status array's role: the TS
+  // scan regenerates the dense per-device queues from it and clears it.
+  BitArray active(n);
   std::vector<std::int32_t> first_touch(n, -1);
   for (const vertex_t v : frontier) first_touch[v] = 0;
 
@@ -317,10 +317,10 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
     const double step_start_ms = system_.elapsed_ms();
 
     // (1) TS queue generation: mark the selected frontier in the active
-    // array and rescan it into per-device dense queues. The marking stores
-    // are charged into the scan kernel.
+    // bitmap and read each device's slice of it into a dense queue. The
+    // device model charges the marking stores and a status scan.
     for (const vertex_t v : frontier) {
-      if (v < n) active.visit(v, superstep);
+      if (v < n) active.set(v);
     }
     std::vector<std::vector<vertex_t>> queues(P);
     double max_qgen = 0.0;
@@ -331,9 +331,8 @@ bfs::BfsResult ProgramRunner::run(vertex_t source) {
       qrec.name = "queue_gen(program)";
       dev.memory().record_store(qrec.mem, sim::AccessPattern::kRandom,
                                 frontier.size() / P + 1, kStatusBytes);
-      queues[p] = P == 1 ? gen.top_down(active, superstep, qrec)
-                         : gen.top_down(active, superstep, ranges_[p].begin,
-                                        ranges_[p].end, qrec);
+      queues[p] = gen.top_down(active, ranges_[p].begin, ranges_[p].end,
+                               frontier.size() / P, qrec);
       const std::string qname = qrec.name;
       const double qstart = dev.elapsed_ms();
       const double qms = dev.run_kernel(std::move(qrec));

@@ -95,6 +95,7 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
   std::vector<vertex_t> parents(n, graph::kInvalidVertex);
   status.visit(source, 0);
   parents[source] = source;
+  BitArray visits(n);  // next frontier, as in EnterpriseBfs::run
 
   FrontierQueueGenerator gen(
       device_->memory(),
@@ -177,9 +178,9 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
               ? expand_bottom_up(g, status, parent_bits, parents,
                                  per_partition[p], Granularity::kThread,
                                  next_level, probe, device_->memory(), rec)
-              : expand_top_down(g, status, parents, per_partition[p],
-                                Granularity::kCta, next_level,
-                                device_->memory(), rec);
+              : expand_top_down(g, status, visits, parents,
+                                per_partition[p], Granularity::kCta,
+                                next_level, device_->memory(), rec);
       newly_visited += out.newly_visited;
       trace.edges_inspected += out.edges_inspected;
       trace.expand_ms += device_->run_kernel(std::move(rec));
@@ -189,7 +190,8 @@ bfs::BfsResult StreamedBfs::run(vertex_t source) {
     if (!bottom_up) {
       sim::KernelRecord qrec;
       qrec.name = "queue_gen(top-down)";
-      queue = gen.top_down(status, next_level, qrec);
+      if (supervisor_.flips_armed()) visits = status.level_bits(next_level);
+      queue = gen.top_down(visits, 0, n, newly_visited, qrec);
       visited_degree_sum += frontier_out_edges(g, queue);
       trace.queue_gen_ms += device_->run_kernel(std::move(qrec));
     } else {

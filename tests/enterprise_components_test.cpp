@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -269,10 +270,12 @@ TEST_F(QueueGenTest, TopDownCollectsExactlyTheLevel) {
   for (vertex_t v = 0; v < 100; v += 3) sa.visit(v, 1);
   for (vertex_t v = 1; v < 100; v += 3) sa.visit(v, 2);
   sim::KernelRecord rec;
-  const auto queue = gen_.top_down(sa, 2, rec);
+  BitArray next = sa.level_bits(2);
+  const auto queue = gen_.top_down(next, 0, sa.size(), 33, rec);
   EXPECT_EQ(queue.size(), 33u);
   for (vertex_t v : queue) EXPECT_EQ(sa.level(v), 2);
   EXPECT_GT(rec.mem.load_transactions, 0u);
+  EXPECT_EQ(next.popcount(), 0u);  // consumed
 }
 
 TEST_F(QueueGenTest, TopDownRangeRestricts) {
@@ -280,8 +283,12 @@ TEST_F(QueueGenTest, TopDownRangeRestricts) {
   sa.visit(5, 1);
   sa.visit(55, 1);
   sim::KernelRecord rec;
-  const auto queue = gen_.top_down(sa, 1, 0, 50, rec);
+  BitArray next = sa.level_bits(1);
+  const auto queue = gen_.top_down(next, 0, 50, 1, rec);
   EXPECT_EQ(queue, (std::vector<vertex_t>{5}));
+  // Bits outside the range stay for the device that owns them.
+  EXPECT_FALSE(next.get(5));
+  EXPECT_TRUE(next.get(55));
 }
 
 TEST_F(QueueGenTest, SwitchQueueIsSortedUnvisited) {
@@ -300,7 +307,8 @@ TEST_F(QueueGenTest, SwitchScanIsStridedAndSlower) {
   StatusArray sa(100000);
   sim::KernelRecord interleaved;
   sim::KernelRecord chunked;
-  gen_.top_down(sa, 0, interleaved);
+  BitArray next = sa.level_bits(0);
+  gen_.top_down(next, 0, sa.size(), 0, interleaved);
   gen_.direction_switch(sa, {}, chunked);
   EXPECT_GT(chunked.mem.dram_bytes, interleaved.mem.dram_bytes);
 }
@@ -354,8 +362,91 @@ TEST(FrontierQueue, TopDownMatchesScalarScan) {
         if (sa.level(v) == level) want.push_back(v);
       }
       sim::KernelRecord rec;
-      EXPECT_EQ(gen.top_down(sa, level, begin, end, rec), want)
+      BitArray next = sa.level_bits(level);
+      EXPECT_EQ(gen.top_down(next, begin, end, want.size(), rec), want)
           << "level " << level << " [" << begin << ", " << end << ")";
+    }
+  }
+}
+
+void expect_same_charge(const sim::KernelRecord& got,
+                        const sim::KernelRecord& want) {
+  EXPECT_EQ(got.warp_cycles, want.warp_cycles);
+  EXPECT_EQ(got.critical_cycles, want.critical_cycles);
+  EXPECT_EQ(got.thread_cycles, want.thread_cycles);
+  EXPECT_EQ(got.launched_threads, want.launched_threads);
+  EXPECT_EQ(got.active_threads, want.active_threads);
+  EXPECT_EQ(got.mem.load_transactions, want.mem.load_transactions);
+  EXPECT_EQ(got.mem.store_transactions, want.mem.store_transactions);
+  EXPECT_EQ(got.mem.dram_transactions, want.mem.dram_transactions);
+  EXPECT_EQ(got.mem.dram_bytes, want.mem.dram_bytes);
+  EXPECT_EQ(got.mem.requested_bytes, want.mem.requested_bytes);
+  EXPECT_EQ(got.mem.random_transactions, want.mem.random_transactions);
+  EXPECT_EQ(got.mem.shared_accesses, want.mem.shared_accesses);
+}
+
+// The top-down queue read off a next-frontier bitmap is the queue a status
+// scan for that level emits, charged identically. The reference charge is
+// the interleaved status scan itself: direction_switch in that layout over
+// a status array whose unvisited set is the level's set.
+TEST(FrontierQueue, BitmapQueueMatchesStatusScan) {
+  sim::Device dev(sim::k40());
+  const FrontierQueueGenerator gen(dev.memory(), 256);
+  SplitMix64 rng(23);
+  for (const vertex_t n : {1u, 63u, 64u, 65u, 1007u, 4099u}) {
+    const StatusArray sa = mixed_status(n, 11 + n);
+    for (const std::int32_t level : {kUnvisited, 0, 3, -7, 1 << 30}) {
+      std::vector<std::int32_t> complement(n);
+      for (vertex_t v = 0; v < n; ++v) {
+        complement[v] = sa.level(v) == level ? kUnvisited : 0;
+      }
+      const StatusArray reference(std::move(complement));
+      std::vector<std::pair<vertex_t, vertex_t>> ranges = {
+          {0, n}, {0, 0}, {n, n}, {n / 2, n / 2}, {n - 1, n}};
+      for (int i = 0; i < 8; ++i) {
+        const auto a = static_cast<vertex_t>(rng.next_below(n + 1));
+        const auto b = static_cast<vertex_t>(rng.next_below(n + 1));
+        ranges.push_back({std::min(a, b), std::max(a, b)});
+      }
+      for (const auto& [begin, end] : ranges) {
+        SCOPED_TRACE("n " + std::to_string(n) + " level " +
+                     std::to_string(level) + " [" + std::to_string(begin) +
+                     ", " + std::to_string(end) + ")");
+        const BitArray marked = sa.level_bits(level);
+        BitArray next = marked;
+        sim::KernelRecord rec;
+        // The size hint only sizes the allocation.
+        const auto queue =
+            gen.top_down(next, begin, end, rng.next_below(n + 1), rec);
+        EXPECT_EQ(queue, sa.vertices_at(level, begin, end));
+        sim::KernelRecord want;
+        EXPECT_EQ(gen.direction_switch(reference, {}, begin, end, want,
+                                       ScanLayout::kInterleaved),
+                  queue);
+        expect_same_charge(rec, want);
+        // The range's bits are consumed; every other bit is left as is.
+        for (vertex_t v = 0; v < n; ++v) {
+          EXPECT_EQ(next.get(v), marked.get(v) && (v < begin || v >= end))
+              << v;
+        }
+      }
+      // Consuming a partition of [0, n) range by range, as the devices of
+      // the multi-GPU system do, yields the whole level and empties the
+      // bitmap, whatever words the cut points fall in.
+      BitArray next = sa.level_bits(level);
+      std::vector<vertex_t> cuts = {0, n};
+      for (int i = 0; i < 3; ++i) {
+        cuts.push_back(static_cast<vertex_t>(rng.next_below(n + 1)));
+      }
+      std::sort(cuts.begin(), cuts.end());
+      std::vector<vertex_t> joined;
+      for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+        sim::KernelRecord rec;
+        const auto part = gen.top_down(next, cuts[i], cuts[i + 1], 0, rec);
+        joined.insert(joined.end(), part.begin(), part.end());
+      }
+      EXPECT_EQ(joined, sa.vertices_at(level, 0, n));
+      EXPECT_EQ(next.popcount(), 0u);
     }
   }
 }

@@ -20,6 +20,7 @@
 #include "bfs/guard.hpp"
 #include "bfs/program.hpp"
 #include "bfs/spec.hpp"
+#include "enterprise/streamed_bfs.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
@@ -658,6 +659,153 @@ TEST(Programs, BfsEnginesMatchGoldenRuns) {
     EXPECT_EQ(r.level_trace.size(), want.levels);
     EXPECT_EQ(inspected, want.edges_inspected);
     EXPECT_EQ(bfs_digest(r), want.digest);
+  }
+}
+
+// The variants the level loops take off the default path, pinned the same
+// way on ROAD and KR2: the streamed driver, the [10]-style switch-back to
+// top-down, a resilient replay from a mid-run checkpoint, the hub cache off,
+// and a silent status flip that lifts the source's level 0 to the level the
+// next queue is built for (audits off, so nothing catches it and the flipped
+// vertex joins that queue). The 4-GPU flip lands on a device that does not
+// own the source, whose private status then disagrees with the owner's.
+// Each row also folds the level trace (direction, frontier count, alpha,
+// gamma, queue-gen and expand ms per level) into `trace_digest`.
+struct GoldenVariantRun {
+  const char* graph;
+  const char* variant;
+  double time_ms;
+  std::size_t levels;
+  std::uint64_t edges_inspected;
+  std::uint64_t digest;        // mix64 fold of levels, then parents
+  std::uint64_t trace_digest;  // mix64 fold of the level trace
+};
+
+constexpr GoldenVariantRun kGoldenVariantRuns[] = {
+    {"ROAD", "streamed", 4.5975824608617337, 78, 7376, 0xfd20126d73d914c3ull,
+     0x2060478e28aeffe6ull},
+    {"KR2", "streamed", 0.48666912097153336, 5, 5030, 0x2b1929cf24434eb0ull,
+     0xb1e100a75d900f0dull},
+    {"KR2", "switch-back", 0.045934690902311705, 5, 5034, 0x2b1929cf24434eb0ull,
+     0x642a58cd3e605dddull},
+    {"ROAD", "resume@39", 1.6219483276171633, 78, 7376, 0xfd20126d73d914c3ull,
+     0xeb2f62e19089e56eull},
+    {"KR2", "resume@1", 1.039433784116331, 5, 5030, 0x2b1929cf24434eb0ull,
+     0x66d2961e1b1cf0ceull},
+    {"KR2", "hub-cache-off", 0.038668683445190158, 5, 5030,
+     0xcd11a8284c59f750ull, 0x45aae0b852746eebull},
+    {"ROAD", "flip@3", 0.62191477057018307, 78, 7380, 0x4be5610b626691e2ull,
+     0xcb6598bfb45b1213ull},
+    {"KR2", "flip@1", 0.039433784116331097, 5, 5030, 0x08099558c7f8f454ull,
+     0x298d0b51d18d1f52ull},
+    {"KR2", "multi-gpu-flip@1", 0.15970631841909022, 5, 5030,
+     0xc146b3265112f9b0ull, 0x9cf73ab5d8cc3933ull},
+};
+
+std::uint64_t trace_digest(const bfs::BfsResult& r) {
+  std::uint64_t h = mix64(r.level_trace.size());
+  for (const bfs::LevelTrace& t : r.level_trace) {
+    h = mix64(h ^ static_cast<std::uint64_t>(t.direction));
+    h = mix64(h ^ t.frontier_count);
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(t.alpha));
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(t.gamma));
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(t.queue_gen_ms));
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(t.expand_ms));
+  }
+  return h;
+}
+
+// Runs `variant` from `source`; fails the test when the variant's path was
+// not actually taken (no switch-back, no replay, no flip).
+bfs::BfsResult run_variant(const std::string& variant, const Csr& g,
+                           vertex_t source) {
+  bfs::EngineConfig config;
+  config.multi_gpu.num_gpus = 4;
+  if (variant == "streamed") {
+    enterprise::StreamedBfs streamed(g, {});
+    return streamed.run(source);
+  }
+  if (variant == "switch-back") {
+    config.enterprise.switch_back_beta = 24.0;
+    const auto r = bfs::make_engine("enterprise", g, config)->run(source);
+    bool switched_back = false;
+    for (std::size_t i = 1; i < r.level_trace.size(); ++i) {
+      switched_back |=
+          r.level_trace[i - 1].direction == bfs::Direction::kBottomUp &&
+          r.level_trace[i].direction == bfs::Direction::kTopDown;
+    }
+    EXPECT_TRUE(switched_back) << "no bottom-up level switched back";
+    return r;
+  }
+  if (variant == "hub-cache-off") {
+    config.enterprise.hub_cache = false;
+    return bfs::make_engine("enterprise", g, config)->run(source);
+  }
+  // "<kind>@L": a transient fault or a silent flip at level L.
+  const std::size_t at = variant.find('@');
+  const std::string kind = variant.substr(0, at);
+  const int level = std::stoi(variant.substr(at + 1));
+  std::string plan_spec = "transient@level=" + std::to_string(level);
+  std::string engine = "resilient:enterprise";
+  if (kind != "resume") {
+    // Level L's queue is built for level L + 1; flipping bit b of the
+    // source's low status byte lifts its level 0 to 2^b, so L = 2^b - 1.
+    const int bit = std::countr_zero(static_cast<unsigned>(level + 1));
+    plan_spec = "flip@target=status," +
+                std::string(kind == "multi-gpu-flip" ? "device=1," : "") +
+                "level=" + std::to_string(level) +
+                ",offset=" + std::to_string(4 * source) +
+                ",bit=" + std::to_string(bit);
+    engine = kind == "multi-gpu-flip" ? "multi-gpu" : "enterprise";
+    // Device 0 owns the first quarter of the ids: device 1 must not own
+    // the source.
+    if (kind == "multi-gpu-flip") {
+      EXPECT_LT(source, g.num_vertices() / 4);
+    }
+  }
+  const auto plan = sim::FaultPlan::parse(plan_spec);
+  EXPECT_TRUE(plan.has_value()) << plan_spec;
+  sim::FaultInjector injector(*plan);
+  obs::MetricsRegistry metrics;
+  config.fault_injector = &injector;
+  config.metrics = &metrics;
+  const auto r = bfs::make_engine(engine, g, config)->run(source);
+  if (kind == "resume") {
+    EXPECT_EQ(metrics.counter("resilience.replays").value(), 1u);
+  } else {
+    EXPECT_EQ(injector.flips_injected(), 1u);
+  }
+  return r;
+}
+
+TEST(Programs, BfsVariantsMatchGoldenRuns) {
+  graph::SuiteOptions opt;
+  opt.scale = 1.0 / 32.0;
+  opt.seed = 42;
+  std::map<std::string, Csr> graphs;
+  for (const GoldenVariantRun& want : kGoldenVariantRuns) {
+    auto it = graphs.find(want.graph);
+    if (it == graphs.end()) {
+      it = graphs.emplace(want.graph, golden_graph(want.graph, opt)).first;
+    }
+    const Csr& g = it->second;
+    const auto r = run_variant(want.variant, g, connected_source(g));
+    std::uint64_t inspected = 0;
+    for (const auto& t : r.level_trace) inspected += t.edges_inspected;
+    char actual[320];
+    std::snprintf(actual, sizeof(actual),
+                  "{\"%s\", \"%s\", %.17g, %zu, %llu, 0x%016llxull, "
+                  "0x%016llxull}",
+                  want.graph, want.variant, r.time_ms, r.level_trace.size(),
+                  static_cast<unsigned long long>(inspected),
+                  static_cast<unsigned long long>(bfs_digest(r)),
+                  static_cast<unsigned long long>(trace_digest(r)));
+    SCOPED_TRACE(std::string("actual ") + actual);
+    EXPECT_EQ(r.time_ms, want.time_ms);
+    EXPECT_EQ(r.level_trace.size(), want.levels);
+    EXPECT_EQ(inspected, want.edges_inspected);
+    EXPECT_EQ(bfs_digest(r), want.digest);
+    EXPECT_EQ(trace_digest(r), want.trace_digest);
   }
 }
 

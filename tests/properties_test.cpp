@@ -163,7 +163,8 @@ TEST_P(GranularityEquivalence, TopDownVisitsSameSet) {
   ref_status.visit(source, 0);
   std::vector<vertex_t> queue{source};
   sim::KernelRecord ref_rec;
-  enterprise::expand_top_down(g, ref_status, ref_parents, queue,
+  BitArray ref_visits(g.num_vertices());
+  enterprise::expand_top_down(g, ref_status, ref_visits, ref_parents, queue,
                               enterprise::Granularity::kThread, 1,
                               dev.memory(), ref_rec);
 
@@ -171,10 +172,13 @@ TEST_P(GranularityEquivalence, TopDownVisitsSameSet) {
   std::vector<vertex_t> parents(g.num_vertices(), graph::kInvalidVertex);
   status.visit(source, 0);
   sim::KernelRecord rec;
-  enterprise::expand_top_down(g, status, parents, queue, GetParam(), 1,
-                              dev.memory(), rec);
+  BitArray visits(g.num_vertices());
+  enterprise::expand_top_down(g, status, visits, parents, queue, GetParam(),
+                              1, dev.memory(), rec);
   for (vertex_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(status.level(v), ref_status.level(v)) << v;
+    EXPECT_EQ(visits.get(v), ref_visits.get(v)) << v;
+    EXPECT_EQ(visits.get(v), status.level(v) == 1) << v;
   }
 }
 
@@ -198,7 +202,8 @@ TEST(KernelEquivalence, BottomUpCacheNeverChangesVisitedSet) {
     parents[source] = source;
     std::vector<vertex_t> q{source};
     sim::KernelRecord rec;
-    enterprise::expand_top_down(g, status, parents, q,
+    BitArray visits(g.num_vertices());
+    enterprise::expand_top_down(g, status, visits, parents, q,
                                 enterprise::Granularity::kThread, 1,
                                 dev.memory(), rec);
   };
@@ -271,8 +276,10 @@ TEST(KernelEquivalence, StatusArrayMatchesQueueExpansion) {
   a.visit(source, 0);
   std::vector<vertex_t> q{source};
   sim::KernelRecord r1;
-  enterprise::expand_top_down(g, a, pa, q, enterprise::Granularity::kCta, 1,
-                              dev.memory(), r1);
+  BitArray visits(g.num_vertices());
+  enterprise::expand_top_down(g, a, visits, pa, q,
+                              enterprise::Granularity::kCta, 1, dev.memory(),
+                              r1);
 
   enterprise::StatusArray b(g.num_vertices());
   std::vector<vertex_t> pb(g.num_vertices(), graph::kInvalidVertex);
